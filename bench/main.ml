@@ -374,9 +374,7 @@ let run_timing () =
 (* The E25 scale probes, timed whole-run (they are far too coarse for
    bechamel's per-op sampling): wide-Pset throughput at n = 100,
    denominated in work units so the --check gate catches the
-   representation going accidentally quadratic.  The separate
-   bench/scale-baseline.json carries only these subjects; CI gates them
-   in the scale-smoke job with a loose tolerance. *)
+   representation going accidentally quadratic. *)
 let run_scale () =
   if !scale_repeats <= 0 then []
   else begin
@@ -448,14 +446,7 @@ let run_speedup () =
 let build_report ~subjects ~tables ~speedup =
   {
     Report.version = Report.version;
-    meta =
-      {
-        Report.seed;
-        jobs = Runtime.Pool.recommended_jobs ();
-        recommended_jobs = Domain.recommended_domain_count ();
-        git_sha = Report.git_short_sha ();
-        hostname = (try Unix.gethostname () with _ -> "unknown");
-      };
+    meta = Report.host_meta ~seed;
     subjects =
       List.map
         (fun (name, nanos, alloc) ->
@@ -486,14 +477,20 @@ let () =
   Option.iter
     (fun path ->
       let path = Report.artifact_path ~prefix:"BENCH" path in
-      Report.save path report;
+      Report.save ~pretty:false path (Report.to_json report);
       Printf.printf "\nbench: wrote %s\n" path)
     !json_path;
   let check_passed =
     match !check_path with
     | None -> true
     | Some path ->
-      let baseline = Report.load path in
+      let baseline =
+        match Report.load ~decode:Report.of_json path with
+        | Ok baseline -> baseline
+        | Error msg ->
+          Printf.eprintf "%s\n" msg;
+          exit 2
+      in
       let result =
         Report.check ~tolerance_pct:!tolerance ~baseline ~current:report
       in

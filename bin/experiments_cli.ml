@@ -3,13 +3,20 @@
    `rrfd-experiments list`            enumerate experiments
    `rrfd-experiments run E6 E9`       run selected experiments
    `rrfd-experiments all`             run everything
-   `rrfd-experiments faultnet`        fault-injection + heard-of replay
-   `rrfd-experiments xsub`            cross-substrate differential matrix
-   `rrfd-experiments live`            real domains + live heard-of replay
-   `rrfd-experiments scale`           large-n grid / throughput gate
+   `rrfd-experiments lattice A B`     submodel relation between predicates
+   `rrfd-experiments trace`           round-by-round transcript of a protocol
+   `rrfd-experiments check`           schedule-space model checker (fuzz,
+                                      shrink, save/replay counterexamples)
+   `rrfd-experiments faultnet`        fault-injection + heard-of replay (E21)
+   `rrfd-experiments xsub`            cross-substrate differential matrix (E22)
+   `rrfd-experiments live`            real domains + live heard-of replay (E23)
+   `rrfd-experiments scale`           large-n grid / throughput timing (E25)
    `rrfd-experiments byz`             Byzantine fork accountability (E24)
    `rrfd-experiments derive`          derive+certify heard-of predicates (E26)
-   options: --seed, --trials, -j/--jobs *)
+   options: --seed, --trials, -j/--jobs
+
+   Every subcommand exits 2 with one line on stderr when an input — a spec
+   string or an artifact to replay — is unusable. *)
 
 (* The raw OS monotonic clock, for the scale throughput measurements. *)
 module Mclock = Monotonic_clock
@@ -35,6 +42,45 @@ let jobs_arg =
      (seed, trial index), so -j only changes wall-clock time."
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~doc)
+
+(* The one failure path for unusable input: unknown specs, and artifacts
+   that are missing, malformed, or of another kind or version. *)
+let or_die = function
+  | Ok v -> v
+  | Error msg ->
+    Printf.eprintf "%s\n" msg;
+    exit 2
+
+(* Options the subcommands share; each passes its own default and doc. *)
+let opt_arg name typ default doc =
+  Arg.(value & opt typ default & info [ name ] ~doc)
+
+let f_minority_arg =
+  opt_arg "f" Arg.(some int) None "Resilience (default: a minority, (n-1)/2)."
+
+let minority ~n = function Some f -> f | None -> (n - 1) / 2
+
+let grid_arg doc = Arg.(value & flag & info [ "grid" ] ~doc)
+
+let file_arg name doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+
+(* Every --grid mode: print the table, write the artifact when --json
+   names a file ("auto" becomes <prefix>_<git-sha>.json), exit 1 iff the
+   table failed. *)
+let run_grid ~prefix ~what ~json (table, artifact) =
+  Experiments.Table.print table;
+  Option.iter
+    (fun path ->
+      let path = Report.artifact_path ~prefix path in
+      Report.save ~pretty:false path artifact;
+      Printf.printf "%s artifact written to %s\n" what path)
+    json;
+  if Experiments.Table.ok table then 0 else 1
+
+(* A grid whose artifact is its table plus the experiment's own detail. *)
+let table_grid ~seed detail_json (table, detail) =
+  (table, Experiments.Table.to_json ~seed table ~detail:(detail_json detail))
 
 let list_cmd =
   let run () =
@@ -123,11 +169,9 @@ let lattice_cmd =
   let b_arg =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"RIGHT" ~doc:names)
   in
-  let n_arg = Arg.(value & opt int 3 & info [ "n" ] ~doc:"System size (keep ≤ 4).") in
-  let f_arg = Arg.(value & opt int 1 & info [ "f" ] ~doc:"Resilience parameter.") in
-  let rounds_arg =
-    Arg.(value & opt int 2 & info [ "rounds" ] ~doc:"History length (keep ≤ 2).")
-  in
+  let n_arg = opt_arg "n" Arg.int 3 "System size (keep ≤ 4)." in
+  let f_arg = opt_arg "f" Arg.int 1 "Resilience parameter." in
+  let rounds_arg = opt_arg "rounds" Arg.int 2 "History length (keep ≤ 2)." in
   let run a b n f rounds =
     setup_logs ();
     match (predicate_of_name ~f a, predicate_of_name ~f b) with
@@ -167,11 +211,9 @@ let trace_cmd =
       & info [ "protocol" ] ~docv:"NAME" ~doc)
   in
   let n_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "n" ] ~doc:"System size (default: 6 for k-set protocols, the \
-                           catalog default otherwise).")
+    opt_arg "n" Arg.(some int) None
+      "System size (default: 6 for k-set protocols, the catalog default \
+       otherwise)."
   in
   let k_arg =
     Arg.(
@@ -278,10 +320,10 @@ let check_cmd =
     in
     Arg.(value & opt_all string [] & info [ "property" ] ~docv:"PROP" ~doc)
   in
-  let n_arg = Arg.(value & opt int 4 & info [ "n" ] ~doc:"System size.") in
+  let n_arg = opt_arg "n" Arg.int 4 "System size." in
   let rounds_arg =
-    let doc = "History length to explore (default: what the SUT needs)." in
-    Arg.(value & opt (some int) None & info [ "rounds" ] ~doc)
+    opt_arg "rounds" Arg.(some int) None
+      "History length to explore (default: what the SUT needs)."
   in
   let trials_arg =
     Arg.(value & opt int 1000 & info [ "trials" ] ~doc:"Fuzzing trials.")
@@ -298,8 +340,7 @@ let check_cmd =
     Arg.(value & flag & info [ "exhaustive" ] ~doc)
   in
   let save_arg =
-    let doc = "Write the counterexample artifact (JSON) to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE" ~doc)
+    file_arg "save" "Write the counterexample artifact (JSON) to $(docv)."
   in
   let expect_arg =
     let doc =
@@ -309,20 +350,12 @@ let check_cmd =
     Arg.(value & flag & info [ "expect-violation" ] ~doc)
   in
   let replay_arg =
-    let doc =
+    file_arg "replay"
       "Replay the counterexample artifact at $(docv): re-execute its \
        history and verify the recorded decision vector bit-for-bit."
-    in
-    Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
   in
   let trace_flag =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print the full transcript.")
-  in
-  let or_die = function
-    | Ok v -> v
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
   in
   let pp_decisions pp_out ppf decisions =
     Array.iteri
@@ -349,7 +382,7 @@ let check_cmd =
     Printf.printf "  failure: %s\n" ce.failure
   in
   let do_replay path with_trace =
-    let artifact = Check.Artifact.load path in
+    let artifact = or_die (Check.Artifact.load path) in
     let ce = artifact.Check.Artifact.counterexample in
     Printf.printf
       "replaying %s: sut %s, predicate %s, property %s (seed %d, trial %d)\n"
@@ -479,38 +512,20 @@ let faultnet_cmd =
     Arg.(
       value & opt string "drop:p=20" & info [ "adversary" ] ~docv:"SPEC" ~doc)
   in
-  let n_arg = Arg.(value & opt int 5 & info [ "n" ] ~doc:"System size.") in
-  let f_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "f" ] ~doc:"Resilience (default: a minority, (n-1)/2).")
-  in
-  let rounds_arg =
-    Arg.(value & opt int 4 & info [ "rounds" ] ~doc:"Simulated rounds.")
-  in
+  let n_arg = opt_arg "n" Arg.int 5 "System size." in
+  let rounds_arg = opt_arg "rounds" Arg.int 4 "Simulated rounds." in
   let grid_arg =
-    let doc =
+    grid_arg
       "Run the full E21 adversary grid instead of a single spec \
        (--adversary/-n/--f/--rounds are ignored)."
-    in
-    Arg.(value & flag & info [ "grid" ] ~doc)
   in
   let json_arg =
-    let doc =
+    file_arg "json"
       "With $(b,--grid): also write the table and every trial's extracted \
        history to $(docv) as compact JSON ($(b,auto) names the file \
        FAULTNET_<git-sha>.json).  The output depends only on --seed and \
        --trials — never on -j — which is what the faultnet smoke gate \
        compares."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-  in
-  let or_die = function
-    | Ok v -> v
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
   in
   let run_single ~seed ~spec ~n ~f ~rounds =
     let adversary = or_die (Check.Spec.adversary spec) in
@@ -555,46 +570,13 @@ let faultnet_cmd =
          broke.\n";
     if d.Msgnet.Round_layer.matched && p3 then 0 else 1
   in
-  let run_grid ~seed ~trials ~jobs ~json =
-    let table, histories =
-      Experiments.E21_faultnet.run_detailed ~seed ?trials ?jobs ()
-    in
-    Experiments.Table.print table;
-    Option.iter
-      (fun path ->
-        let str s = Report.Json.String s in
-        let j =
-          Report.Json.Obj
-            [
-              ("id", str table.Experiments.Table.id);
-              ("seed", Report.Json.Number (float_of_int seed));
-              ("header", Report.Json.List (List.map str table.Experiments.Table.header));
-              ( "rows",
-                Report.Json.List
-                  (List.map
-                     (fun row -> Report.Json.List (List.map str row))
-                     table.Experiments.Table.rows) );
-              ("ok", Report.Json.Bool (Experiments.Table.ok table));
-              ( "histories",
-                Report.Json.Obj
-                  (List.map
-                     (fun (spec, hs) ->
-                       (spec, Report.Json.List (List.map str hs)))
-                     histories) );
-            ]
-        in
-        let path = Report.artifact_path ~prefix:"FAULTNET" path in
-        Report.save_json path j;
-        Printf.printf "grid artifact written to %s\n" path)
-      json;
-    if Experiments.Table.ok table then 0 else 1
-  in
   let run seed trials jobs spec n f rounds grid json =
     setup_logs ();
-    if grid then run_grid ~seed ~trials ~jobs ~json
-    else
-      let f = match f with Some f -> f | None -> (n - 1) / 2 in
-      run_single ~seed ~spec ~n ~f ~rounds
+    if grid then
+      run_grid ~prefix:"FAULTNET" ~what:"grid" ~json
+        (table_grid ~seed Experiments.E21_faultnet.detail_json
+           (Experiments.E21_faultnet.run_detailed ~seed ?trials ?jobs ()))
+    else run_single ~seed ~spec ~n ~f:(minority ~n f) ~rounds
   in
   Cmd.v
     (Cmd.info "faultnet"
@@ -605,7 +587,7 @@ let faultnet_cmd =
           abstract engine — for one spec, or the whole E21 grid.")
     Term.(
       const run $ seed_arg $ trials_arg $ jobs_arg $ adversary_arg $ n_arg
-      $ f_arg $ rounds_arg $ grid_arg $ json_arg)
+      $ f_minority_arg $ rounds_arg $ grid_arg $ json_arg)
 
 (* `xsub` — the E22 cross-substrate differential matrix: every catalog
    protocol over every execution substrate under equivalent fault
@@ -615,72 +597,17 @@ let faultnet_cmd =
    is what the xsub smoke gate compares byte-for-byte. *)
 let xsub_cmd =
   let json_arg =
-    let doc =
+    file_arg "json"
       "Also write the table and every trial's per-substrate induced and \
        replayed histories to $(docv) as compact JSON ($(b,auto) names the \
        file XSUB_<git-sha>.json).  The output depends only on --seed and \
        --trials — never on -j."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let run seed trials jobs json =
     setup_logs ();
-    let table, details =
-      Experiments.E22_xsub.run_detailed ~seed ?trials ?jobs ()
-    in
-    Experiments.Table.print table;
-    Option.iter
-      (fun path ->
-        let str s = Report.Json.String s in
-        let trial_json (o : Experiments.E22_xsub.trial_obs) =
-          Report.Json.List
-            (List.map
-               (fun (s : Experiments.E22_xsub.sub_obs) ->
-                 Report.Json.Obj
-                   [
-                     ("sub", str s.Experiments.E22_xsub.sub);
-                     ("induced", str s.Experiments.E22_xsub.compact);
-                     ("replayed", str s.Experiments.E22_xsub.replay_compact);
-                     ( "decisions_ok",
-                       Report.Json.Bool s.Experiments.E22_xsub.decisions_ok );
-                     ( "classes_ok",
-                       Report.Json.Bool s.Experiments.E22_xsub.classes_ok );
-                   ])
-               o.Experiments.E22_xsub.subs)
-        in
-        let j =
-          Report.Json.Obj
-            [
-              ("id", str table.Experiments.Table.id);
-              ("seed", Report.Json.Number (float_of_int seed));
-              ( "header",
-                Report.Json.List
-                  (List.map str table.Experiments.Table.header) );
-              ( "rows",
-                Report.Json.List
-                  (List.map
-                     (fun row -> Report.Json.List (List.map str row))
-                     table.Experiments.Table.rows) );
-              ("ok", Report.Json.Bool (Experiments.Table.ok table));
-              ( "cells",
-                Report.Json.List
-                  (List.map
-                     (fun (protocol, policy, obs) ->
-                       Report.Json.Obj
-                         [
-                           ("protocol", str protocol);
-                           ("policy", str policy);
-                           ( "trials",
-                             Report.Json.List (List.map trial_json obs) );
-                         ])
-                     details) );
-            ]
-        in
-        let path = Report.artifact_path ~prefix:"XSUB" path in
-        Report.save_json path j;
-        Printf.printf "matrix artifact written to %s\n" path)
-      json;
-    if Experiments.Table.ok table then 0 else 1
+    run_grid ~prefix:"XSUB" ~what:"matrix" ~json
+      (table_grid ~seed Experiments.E22_xsub.detail_json
+         (Experiments.E22_xsub.run_detailed ~seed ?trials ?jobs ()))
   in
   Cmd.v
     (Cmd.info "xsub"
@@ -710,19 +637,10 @@ let live_cmd =
       & opt string "flood-consensus"
       & info [ "protocol" ] ~docv:"NAME" ~doc)
   in
-  let n_arg = Arg.(value & opt int 5 & info [ "n" ] ~doc:"System size.") in
-  let f_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "f" ] ~doc:"Resilience (default: a minority, (n-1)/2).")
-  in
+  let n_arg = opt_arg "n" Arg.int 5 "System size." in
   let rounds_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "rounds" ]
-          ~doc:"Round horizon (default: the protocol's at n, f).")
+    opt_arg "rounds" Arg.(some int) None
+      "Round horizon (default: the protocol's at n, f)."
   in
   let patience_arg =
     let doc =
@@ -740,42 +658,28 @@ let live_cmd =
     Arg.(value & opt (some int) None & info [ "stress" ] ~docv:"N" ~doc)
   in
   let record_arg =
-    let doc =
+    file_arg "record"
       "Write the run's extracted history as a check-replayable artifact \
        to $(docv) ($(b,auto) names the file LIVE_<git-sha>.json); verify \
        it later with `rrfd-experiments check --replay PATH`."
-    in
-    Arg.(value & opt (some string) None & info [ "record" ] ~docv:"FILE" ~doc)
   in
   let grid_arg =
-    let doc =
+    grid_arg
       "Run the E23 n × patience grid instead of a single configuration \
        (--protocol/-n/--f/--rounds/--patience are ignored)."
-    in
-    Arg.(value & flag & info [ "grid" ] ~doc)
   in
   let json_arg =
-    let doc =
+    file_arg "json"
       "With $(b,--grid): write every run's record (history, inputs, \
        decisions, wall time) to $(docv) as JSON ($(b,auto) names the \
        file LIVE_<git-sha>.json).  Collection is nondeterministic — the \
        scheduler decides — but regeneration from a recorded artifact \
        ($(b,--from)) is byte-identical at any -j."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let from_arg =
-    let doc =
+    file_arg "from"
       "With $(b,--grid): skip the live phase and rebuild the table (and \
        --json artifact) deterministically from the records in $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "from" ] ~docv:"FILE" ~doc)
-  in
-  let or_die = function
-    | Ok v -> v
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
   in
   let find_protocol name =
     match Protocols.Catalog.find name with
@@ -854,30 +758,22 @@ let live_cmd =
       (count - !mismatches) count;
     if !mismatches = 0 then 0 else 1
   in
-  let run_grid ~seed ~trials ~jobs ~json ~from =
-    let records =
-      match from with
-      | Some path ->
-        Experiments.E23_live.of_json (Report.Json.of_string (In_channel.with_open_bin path In_channel.input_all))
-      | None -> Experiments.E23_live.collect ~seed ?trials ?jobs ()
-    in
-    let table = Experiments.E23_live.table_of records in
-    Experiments.Table.print table;
-    Option.iter
-      (fun path ->
-        let path = Report.artifact_path ~prefix:"LIVE" path in
-        Report.save_json path (Experiments.E23_live.to_json records);
-        Printf.printf "live-grid artifact written to %s\n" path)
-      json;
-    if Experiments.Table.ok table then 0 else 1
-  in
   let run seed trials jobs proto_name n f rounds patience stress record grid
       json from =
     setup_logs ();
-    if grid then run_grid ~seed ~trials ~jobs ~json ~from
+    if grid then
+      let records =
+        match from with
+        | Some path ->
+          or_die (Report.load ~decode:Experiments.E23_live.of_json path)
+        | None -> Experiments.E23_live.collect ~seed ?trials ?jobs ()
+      in
+      run_grid ~prefix:"LIVE" ~what:"live-grid" ~json
+        ( Experiments.E23_live.table_of records,
+          Experiments.E23_live.to_json records )
     else
       let patience = or_die (Live.Patience.of_spec patience) in
-      let f = match f with Some f -> f | None -> (n - 1) / 2 in
+      let f = minority ~n f in
       let rounds =
         match rounds with
         | Some r -> r
@@ -899,7 +795,7 @@ let live_cmd =
           artifact for check --replay, or the E23 --grid.")
     Term.(
       const run $ seed_arg $ trials_arg $ jobs_arg $ protocol_arg $ n_arg
-      $ f_arg $ rounds_arg $ patience_arg $ stress_arg $ record_arg $ grid_arg
+      $ f_minority_arg $ rounds_arg $ patience_arg $ stress_arg $ record_arg $ grid_arg
       $ json_arg $ from_arg)
 
 (* `scale` — the E25 large-n grid on the wide Pset.  Default mode runs
@@ -907,9 +803,9 @@ let live_cmd =
    and optionally writes a deterministic JSON artifact: it depends only
    on --seed, --trials and --ns — never on -j — which is what the
    scale smoke gate compares byte-for-byte.  --bench instead times the
-   same probes wall-clock, denominates them in work units (ns/run,
-   ns/round, ns/msg) and gates them against a saved subjects-only BENCH
-   report with --check/--tolerance. *)
+   same probes wall-clock and denominates them in work units (ns/run,
+   ns/round, ns/msg); the n = 100 subjects are gated in bench/main.exe's
+   --check against bench/baseline.json. *)
 let scale_cmd =
   let ns_arg =
     let doc =
@@ -921,13 +817,11 @@ let scale_cmd =
     Arg.(value & opt (list int) [ 100; 1000 ] & info [ "ns" ] ~docv:"N,N,..." ~doc)
   in
   let json_arg =
-    let doc =
+    file_arg "json"
       "Write the grid's per-trial digests (ok flags, work counters, \
        decision checksums) to $(docv) as JSON ($(b,auto) names the file \
        SCALE_<git-sha>.json).  With $(b,--bench): write the throughput \
-       subjects as a BENCH report instead (the shape --check consumes)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+       subjects as a BENCH report instead."
   in
   let bench_arg =
     let doc =
@@ -941,87 +835,44 @@ let scale_cmd =
     let doc = "With $(b,--bench): timed repetitions per (probe, n) cell." in
     Arg.(value & opt int 2 & info [ "repeats" ] ~doc)
   in
-  let check_arg =
-    let doc =
-      "With $(b,--bench): compare the fresh throughput subjects against \
-       the BENCH report at $(docv); exit non-zero on a regression beyond \
-       --tolerance."
-    in
-    Arg.(value & opt (some string) None & info [ "check" ] ~docv:"BASELINE" ~doc)
-  in
-  let tolerance_arg =
-    let doc =
-      "Allowed ns/run slowdown (percent) before --check fails.  The \
-       default is deliberately loose: shared CI runners jitter, and the \
-       gate exists to catch the representation going accidentally \
-       quadratic, not 2x noise."
-    in
-    Arg.(value & opt float 400.0 & info [ "tolerance" ] ~doc)
-  in
-  let build_report subjects =
-    {
-      Report.version = Report.version;
-      meta =
-        {
-          Report.seed = 0;
-          jobs = Runtime.Pool.recommended_jobs ();
-          recommended_jobs = Domain.recommended_domain_count ();
-          git_sha = Report.git_short_sha ();
-          hostname = (try Unix.gethostname () with _ -> "unknown");
-        };
-      subjects;
-      tables = [];
-      speedup = None;
-    }
-  in
-  let run_bench ~seed ~ns ~repeats ~json ~check ~tolerance =
+  let run_bench ~seed ~ns ~repeats ~json =
     let now_ns () = Mclock.now () in
     let ms = Experiments.E25_scale.measure ~now_ns ~seed ~ns ~repeats () in
     Experiments.E25_scale.print_measurements ms;
-    let report = build_report (Experiments.E25_scale.subjects_of ms) in
+    let report =
+      {
+        Report.version = Report.version;
+        meta = Report.host_meta ~seed:0;
+        subjects = Experiments.E25_scale.subjects_of ms;
+        tables = [];
+        speedup = None;
+      }
+    in
     Option.iter
       (fun path ->
         let path = Report.artifact_path ~prefix:"SCALE" path in
-        Report.save path report;
+        Report.save ~pretty:false path (Report.to_json report);
         Printf.printf "scale bench report written to %s\n" path)
       json;
-    let all_ok = List.for_all (fun m -> m.Experiments.E25_scale.m_ok) ms in
-    if not all_ok then
+    if List.for_all (fun m -> m.Experiments.E25_scale.m_ok) ms then 0
+    else begin
       Printf.printf "scale: a probe FAILED its correctness gate while timed\n";
-    let check_passed =
-      match check with
-      | None -> true
-      | Some path ->
-        let baseline = Report.load path in
-        let result =
-          Report.check ~tolerance_pct:tolerance ~baseline ~current:report
-        in
-        Report.print_check result;
-        Report.check_ok result
-    in
-    if all_ok && check_passed then 0 else 1
+      1
+    end
   in
-  let run_grid ~seed ~trials ~jobs ~ns ~json =
-    let table, cells =
-      Experiments.E25_scale.run_detailed ~seed ?trials ?jobs ~ns ()
-    in
-    Experiments.Table.print table;
-    Option.iter
-      (fun path ->
-        let path = Report.artifact_path ~prefix:"SCALE" path in
-        Report.save_json path (Experiments.E25_scale.to_json cells);
-        Printf.printf "scale grid artifact written to %s\n" path)
-      json;
-    if Experiments.Table.ok table then 0 else 1
-  in
-  let run seed trials jobs ns json bench repeats check tolerance =
+  let run seed trials jobs ns json bench repeats =
     setup_logs ();
     if ns = [] || List.exists (fun n -> n < 1) ns then begin
       Printf.eprintf "--ns needs at least one positive size\n";
       2
     end
-    else if bench then run_bench ~seed ~ns ~repeats ~json ~check ~tolerance
-    else run_grid ~seed ~trials ~jobs ~ns ~json
+    else if bench then run_bench ~seed ~ns ~repeats ~json
+    else
+      let table, cells =
+        Experiments.E25_scale.run_detailed ~seed ?trials ?jobs ~ns ()
+      in
+      run_grid ~prefix:"SCALE" ~what:"scale grid" ~json
+        (table, Experiments.E25_scale.to_json cells)
   in
   Cmd.v
     (Cmd.info "scale"
@@ -1030,11 +881,11 @@ let scale_cmd =
           k-set agreement, heartbeat convergence and Chandra-Toueg \
           consensus at sizes far beyond the one-word 62-process cap — as \
           a deterministic correctness campaign (--json artifact, \
-          -j-independent) or a throughput measurement gated against a \
-          saved baseline (--bench --check).")
+          -j-independent) or a work-denominated throughput measurement \
+          (--bench).")
     Term.(
       const run $ seed_arg $ trials_arg $ jobs_arg $ ns_arg $ json_arg
-      $ bench_arg $ repeats_arg $ check_arg $ tolerance_arg)
+      $ bench_arg $ repeats_arg)
 
 (* `byz` — the E24 Byzantine accountability battery: a single forked
    execution with its audit transcript, the full grid, the soundness
@@ -1045,10 +896,8 @@ let scale_cmd =
 let byz_cmd =
   let module Acc = Msgnet.Accountability in
   let module Byz = Check.Byz_check in
-  let n_arg = Arg.(value & opt int 4 & info [ "n" ] ~doc:"System size.") in
-  let f_arg =
-    Arg.(value & opt int 1 & info [ "f" ] ~doc:"Audit resilience bound.")
-  in
+  let n_arg = opt_arg "n" Arg.int 4 "System size." in
+  let f_arg = opt_arg "f" Arg.int 1 "Audit resilience bound." in
   let byz_arg =
     Arg.(
       value & opt int 2
@@ -1061,18 +910,15 @@ let byz_cmd =
           ~doc:"Let fuzzed members fabricate phantom-quorum certificates.")
   in
   let grid_arg =
-    let doc = "Run the full E24 grid instead of the single-fork demo." in
-    Arg.(value & flag & info [ "grid" ] ~doc)
+    grid_arg "Run the full E24 grid instead of the single-fork demo."
   in
   let json_arg =
-    let doc =
+    file_arg "json"
       "With $(b,--grid): also write the table and per-row digests to \
        $(docv) as compact JSON ($(b,auto) names the file \
        BYZ_<git-sha>.json).  The output depends only on --seed and \
        --trials — never on -j — which is what the byz smoke gate \
        compares."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let fuzz_arg =
     let doc =
@@ -1097,18 +943,14 @@ let byz_cmd =
           ~doc:"Delay schedules per enumerated strategy combination.")
   in
   let save_arg =
-    let doc =
+    file_arg "save"
       "With the single-fork demo: save the witness and its expected \
        outcome as a replayable e24-byz JSON artifact at $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE" ~doc)
   in
   let replay_arg =
-    let doc =
+    file_arg "replay"
       "Replay an e24-byz artifact and verify the pinned fork flag and \
        accused set reproduce (exit 0 iff they do)."
-    in
-    Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
   in
   let pp_verdict ppf = function
     | Acc.Accountable -> Format.fprintf ppf "accountable"
@@ -1185,58 +1027,6 @@ let byz_cmd =
         save;
       if Acc.check ~f outcome = Acc.Accountable then 0 else 1
   in
-  let run_grid ~seed ~trials ~jobs ~json =
-    let table, digests =
-      Experiments.E24_byzantine.run_detailed ~seed ?trials ?jobs ()
-    in
-    Experiments.Table.print table;
-    Option.iter
-      (fun path ->
-        let str s = Report.Json.String s in
-        let num i = Report.Json.Number (float_of_int i) in
-        let digest_json (d : Experiments.E24_byzantine.row_digest) =
-          Report.Json.Obj
-            [
-              ("spec", str d.spec);
-              ("trials", num d.trials);
-              ("vote_forks", num d.vote_forks);
-              ( "min_accused_on_fork",
-                match d.min_accused_on_fork with
-                | None -> Report.Json.Null
-                | Some m -> num m );
-              ("vote_sound_all", Report.Json.Bool d.vote_sound_all);
-              ("vote_complete_all", Report.Json.Bool d.vote_complete_all);
-              ("lied_sound_all", Report.Json.Bool d.lied_sound_all);
-              ("kernel_all", Report.Json.Bool d.kernel_all);
-              ("tampered_total", num d.tampered_total);
-              ("ct_violations", num d.ct_violations);
-              ("ct_sound_all", Report.Json.Bool d.ct_sound_all);
-              ("ct_undecided_total", num d.ct_undecided_total);
-            ]
-        in
-        let j =
-          Report.Json.Obj
-            [
-              ("id", str table.Experiments.Table.id);
-              ("seed", num seed);
-              ( "header",
-                Report.Json.List
-                  (List.map str table.Experiments.Table.header) );
-              ( "rows",
-                Report.Json.List
-                  (List.map
-                     (fun row -> Report.Json.List (List.map str row))
-                     table.Experiments.Table.rows) );
-              ("ok", Report.Json.Bool (Experiments.Table.ok table));
-              ("digests", Report.Json.List (List.map digest_json digests));
-            ]
-        in
-        let path = Report.artifact_path ~prefix:"BYZ" path in
-        Report.save_json path j;
-        Printf.printf "grid artifact written to %s\n" path)
-      json;
-    if Experiments.Table.ok table then 0 else 1
-  in
   let run_fuzz ~seed ~jobs ~n ~f ~byz ~forge ~trials =
     let r = Byz.fuzz ?jobs ~n ~f ~byz ~forge ~seed ~trials () in
     Printf.printf
@@ -1281,7 +1071,7 @@ let byz_cmd =
     if complete then 0 else 1
   in
   let run_replay path =
-    let artifact = Byz.load path in
+    let artifact = or_die (Byz.load path) in
     let r = Byz.replay artifact in
     Printf.printf "byz replay: %s\n" path;
     print_outcome ~f:artifact.Byz.witness.Byz.f r.Byz.outcome;
@@ -1296,7 +1086,10 @@ let byz_cmd =
     match replay with
     | Some path -> run_replay path
     | None ->
-      if grid then run_grid ~seed ~trials ~jobs ~json
+      if grid then
+        run_grid ~prefix:"BYZ" ~what:"grid" ~json
+          (table_grid ~seed Experiments.E24_byzantine.detail_json
+             (Experiments.E24_byzantine.run_detailed ~seed ?trials ?jobs ()))
       else if exhaustive then run_exhaustive ~seed ~jobs ~seeds ~n ~f ~byz
       else
         match fuzz with
@@ -1326,16 +1119,8 @@ let derive_cmd =
     Arg.(
       value & opt string "drop:p=20" & info [ "policy" ] ~docv:"SPEC" ~doc)
   in
-  let n_arg = Arg.(value & opt int 5 & info [ "n" ] ~doc:"System size.") in
-  let f_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "f" ] ~doc:"Resilience (default: a minority, (n-1)/2).")
-  in
-  let rounds_arg =
-    Arg.(value & opt int 4 & info [ "rounds" ] ~doc:"Simulated rounds.")
-  in
+  let n_arg = opt_arg "n" Arg.int 5 "System size." in
+  let rounds_arg = opt_arg "rounds" Arg.int 4 "Simulated rounds." in
   let fuzz_arg =
     let doc =
       "Certification trials: fresh executions, sharded through \
@@ -1353,46 +1138,32 @@ let derive_cmd =
     Arg.(value & flag & info [ "exhaustive" ] ~doc)
   in
   let grid_arg =
-    let doc =
+    grid_arg
       "Run the full E26 grid — every E21 policy plus a Byzantine row at \
        n=5 f=2, and two exhaustively-proven rows at n=3 — instead of a \
        single policy (--policy/-n/-f/--rounds/--exhaustive ignored; \
        --trials sets the observation count per row, with certification \
        at twice that)."
-    in
-    Arg.(value & flag & info [ "grid" ] ~doc)
   in
   let json_arg =
-    let doc =
+    file_arg "json"
       "With $(b,--grid): also write the table and every row's full \
        e26-derive artifact (witnesses and separations included) to \
        $(docv) as compact JSON ($(b,auto) names the file \
        DERIVE_<git-sha>.json).  The output depends only on --seed and \
        --trials — never on -j — which is what the derive smoke gate \
        compares."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
   in
   let save_arg =
-    let doc =
+    file_arg "save"
       "Save the derivation — policy, derived predicate, every witness \
        and separation — as a replayable e26-derive artifact."
-    in
-    Arg.(value & opt (some string) None & info [ "save" ] ~docv:"FILE" ~doc)
   in
   let replay_arg =
-    let doc =
+    file_arg "replay"
       "Replay a saved e26-derive artifact: re-check every witness pair, \
        re-run each fuzz witness's (seed, trial) execution and each \
        separation's enumeration, and demand bit-identical histories."
-    in
-    Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
-  in
-  let or_die = function
-    | Ok v -> v
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
   in
   let run_replay path =
     let outcome = or_die (Derive.load path) in
@@ -1410,49 +1181,6 @@ let derive_cmd =
       (if r.Derive.separations_valid then "re-proved by enumeration"
        else "DIVERGED");
     if Derive.reproduced r then 0 else 1
-  in
-  let run_grid ~seed ~trials ~jobs ~json =
-    let table, rows =
-      Experiments.E26_derive.run_detailed ~seed ?trials ?jobs ()
-    in
-    Experiments.Table.print table;
-    Option.iter
-      (fun path ->
-        let str s = Report.Json.String s in
-        let j =
-          Report.Json.Obj
-            [
-              ("id", str table.Experiments.Table.id);
-              ("seed", Report.Json.Number (float_of_int seed));
-              ( "header",
-                Report.Json.List
-                  (List.map str table.Experiments.Table.header) );
-              ( "rows",
-                Report.Json.List
-                  (List.map
-                     (fun row -> Report.Json.List (List.map str row))
-                     table.Experiments.Table.rows) );
-              ("ok", Report.Json.Bool (Experiments.Table.ok table));
-              ( "derivations",
-                Report.Json.List
-                  (List.map
-                     (fun (r : Experiments.E26_derive.row) ->
-                       Report.Json.Obj
-                         [
-                           ("policy", str r.Experiments.E26_derive.policy);
-                           ("mode", str r.Experiments.E26_derive.mode);
-                           ( "artifact",
-                             Derive.to_json r.Experiments.E26_derive.outcome
-                           );
-                         ])
-                     rows) );
-            ]
-        in
-        let path = Report.artifact_path ~prefix:"DERIVE" path in
-        Report.save_json path j;
-        Printf.printf "grid artifact written to %s\n" path)
-      json;
-    if Experiments.Table.ok table then 0 else 1
   in
   let run_single ~seed ~trials ~jobs ~policy ~n ~f ~rounds ~fuzz ~exhaustive
       ~save =
@@ -1483,11 +1211,13 @@ let derive_cmd =
     match replay with
     | Some path -> run_replay path
     | None ->
-      if grid then run_grid ~seed ~trials ~jobs ~json
+      if grid then
+        run_grid ~prefix:"DERIVE" ~what:"grid" ~json
+          (table_grid ~seed Experiments.E26_derive.detail_json
+             (Experiments.E26_derive.run_detailed ~seed ?trials ?jobs ()))
       else
-        let f = match f with Some f -> f | None -> (n - 1) / 2 in
-        run_single ~seed ~trials ~jobs ~policy ~n ~f ~rounds ~fuzz
-          ~exhaustive ~save
+        run_single ~seed ~trials ~jobs ~policy ~n ~f:(minority ~n f) ~rounds
+          ~fuzz ~exhaustive ~save
   in
   Cmd.v
     (Cmd.info "derive"
@@ -1499,7 +1229,7 @@ let derive_cmd =
           enumeration), with replayable e26-derive artifacts.")
     Term.(
       const run $ seed_arg $ trials_arg $ jobs_arg $ policy_arg $ n_arg
-      $ f_arg $ rounds_arg $ fuzz_arg $ exhaustive_arg $ grid_arg $ json_arg
+      $ f_minority_arg $ rounds_arg $ fuzz_arg $ exhaustive_arg $ grid_arg $ json_arg
       $ save_arg $ replay_arg)
 
 let main =

@@ -1,7 +1,6 @@
 module Json = Report.Json
 
 type t = {
-  version : int;
   sut : string;
   predicate : string;
   properties : string list;
@@ -9,11 +8,12 @@ type t = {
   counterexample : Checker.counterexample;
 }
 
+let kind = "rrfd-counterexample"
+
 let version = 1
 
 let make ~sut_spec ~predicate_spec ~property_specs ~seed counterexample =
   {
-    version;
     sut = sut_spec;
     predicate = predicate_spec;
     properties = property_specs;
@@ -35,10 +35,8 @@ let decisions_of_json json =
 
 let to_json t =
   let ce = t.counterexample in
-  Json.Obj
+  Report.wrap ~kind ~version
     [
-      ("version", Json.Number (float_of_int t.version));
-      ("kind", Json.String "rrfd-counterexample");
       ("sut", Json.String t.sut);
       ("predicate", Json.String t.predicate);
       ("properties", Json.List (List.map (fun p -> Json.String p) t.properties));
@@ -58,16 +56,13 @@ let to_json t =
     ]
 
 let of_json json =
-  let v = Json.int (Json.member "version" json) in
-  if v <> version then
-    raise (Json.Error (Printf.sprintf "unsupported artifact version %d" v));
+  Report.unwrap ~kind ~version json;
   let history_text = Json.str (Json.member "history" json) in
   let history =
     try Rrfd.Fault_history.of_string_compact history_text
     with Invalid_argument msg -> raise (Json.Error msg)
   in
   {
-    version = v;
     sut = Json.str (Json.member "sut" json);
     predicate = Json.str (Json.member "predicate" json);
     properties = List.map Json.str (Json.list (Json.member "properties" json));
@@ -88,19 +83,9 @@ let of_json json =
       };
   }
 
-let save path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty (to_json t));
-      output_char oc '\n')
+let save path t = Report.save ~pretty:true path (to_json t)
 
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_json (Json.of_string (In_channel.input_all ic)))
+let load = Report.load ~decode:of_json
 
 (* Recordings: the same artifact format, written by an observation run
    (live --record) rather than a property refutation.  The decision
@@ -120,7 +105,6 @@ let record ~sut_spec ?(predicate_spec = "true") ?(seed = 0) ~n ~history () =
           | None ->
             Ok
               {
-                version;
                 sut = sut_spec;
                 predicate = predicate_spec;
                 properties = [];

@@ -2,7 +2,8 @@
 
     A counterexample is only worth anything if it survives the process that
     found it, so the checker persists each one as a small JSON document
-    (schema {!version}): the spec strings that configured the run, the
+    (kind [rrfd-counterexample], version 1, in the {!Report.wrap}
+    envelope): the spec strings that configured the run, the
     minimal history in {!Rrfd.Fault_history.to_string_compact} form, and
     the decision vector observed on it.  {!replay} reconstructs everything
     from the specs and re-executes the history deterministically — the
@@ -10,16 +11,12 @@
     any [-j], or the artifact (or the code under test) has drifted. *)
 
 type t = {
-  version : int;
   sut : string;  (** {!Spec.sut} string. *)
   predicate : string;  (** {!Spec.predicate} string. *)
   properties : string list;  (** {!Spec.property} strings. *)
   seed : int;  (** Seed of the finding run ([0] for exhaustive). *)
   counterexample : Checker.counterexample;
 }
-
-val version : int
-(** Current schema version (1). *)
 
 val make :
   sut_spec:string ->
@@ -49,14 +46,13 @@ val record :
 val to_json : t -> Report.Json.t
 
 val of_json : Report.Json.t -> t
-(** @raise Report.Json.Error on shape or version mismatch. *)
+(** @raise Report.Json.Error on shape, kind or version mismatch. *)
 
 val save : string -> t -> unit
 (** Pretty-printed, trailing newline — artifacts are meant to be read. *)
 
-val load : string -> t
-(** @raise Report.Json.Error on malformed content; [Sys_error] on I/O
-    failure. *)
+val load : string -> (t, string) result
+(** {!Report.load} with {!of_json}. *)
 
 type replay = {
   obs : Property.obs;  (** The re-execution. *)

@@ -215,7 +215,9 @@ let pset_to_json s =
   Json.List
     (List.map (fun p -> Json.Number (float_of_int p)) (Rrfd.Pset.to_list s))
 
-let pset_of_json json = Rrfd.Pset.of_list (List.map Json.int (Json.list json))
+let pset_of_json json =
+  try Rrfd.Pset.of_list (List.map Json.int (Json.list json))
+  with Invalid_argument msg -> raise (Json.Error msg)
 
 let int_array_to_json a =
   Json.List
@@ -253,10 +255,8 @@ let strategy_of_json = function
 
 let to_json t =
   let w = t.witness in
-  Json.Obj
+  Report.wrap ~kind ~version
     [
-      ("version", Json.Number (float_of_int version));
-      ("kind", Json.String kind);
       ("n", Json.Number (float_of_int w.n));
       ("f", Json.Number (float_of_int w.f));
       (* As a decimal string: seeds from [Dsim.Rng.derive_seed] use the
@@ -270,12 +270,7 @@ let to_json t =
     ]
 
 let of_json json =
-  let v = Json.int (Json.member "version" json) in
-  if v <> version then
-    raise (Json.Error (Printf.sprintf "unsupported %s version %d" kind v));
-  let k = Json.str (Json.member "kind" json) in
-  if k <> kind then
-    raise (Json.Error (Printf.sprintf "expected kind %S, got %S" kind k));
+  Report.unwrap ~kind ~version json;
   {
     witness =
       {
@@ -283,7 +278,10 @@ let of_json json =
         f = Json.int (Json.member "f" json);
         seed =
           (match Json.member "seed" json with
-          | Json.String s -> int_of_string s
+          | Json.String s -> (
+            match int_of_string_opt s with
+            | Some seed -> seed
+            | None -> raise (Json.Error ("seed is not a decimal integer: " ^ s)))
           | j -> Json.int j);
         inputs = int_array_of_json (Json.member "inputs" json);
         strategies =
@@ -294,19 +292,9 @@ let of_json json =
     expected_accused = pset_of_json (Json.member "expected_accused" json);
   }
 
-let save path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string_pretty (to_json t));
-      output_char oc '\n')
+let save path t = Report.save ~pretty:true path (to_json t)
 
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_json (Json.of_string (In_channel.input_all ic)))
+let load = Report.load ~decode:of_json
 
 type replay = {
   outcome : Acc.outcome;

@@ -125,7 +125,8 @@ val of_json : Report.Json.t -> artifact
 
 val save : string -> artifact -> unit
 
-val load : string -> artifact
+val load : string -> (artifact, string) result
+(** {!Report.load} with {!of_json}. *)
 
 type replay = {
   outcome : Msgnet.Accountability.outcome;

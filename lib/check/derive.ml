@@ -351,6 +351,10 @@ let strings l = Json.List (List.map (fun s -> Json.String s) l)
 
 let string_list json = List.map Json.str (Json.list json)
 
+let history_of_json json =
+  try Rrfd.Fault_history.of_string_compact (Json.str json)
+  with Invalid_argument msg -> raise (Json.Error msg)
+
 let witness_to_json w =
   Json.Obj
     (("spec", Json.String w.spec)
@@ -370,17 +374,13 @@ let witness_of_json json =
     | "exhaustive" -> Exhaustive
     | s -> raise (Json.Error ("unknown witness source " ^ s))
   in
-  let history =
-    Rrfd.Fault_history.of_string_compact (Json.str (Json.member "history" json))
-  in
+  let history = history_of_json (Json.member "history" json) in
   let reason = Json.str (Json.member "reason" json) in
   { spec; source; history; reason }
 
 let to_json o =
-  Json.Obj
+  Report.wrap ~kind ~version
     [
-      ("version", Json.Number (float_of_int version));
-      ("kind", Json.String kind);
       ("policy", Json.String o.policy);
       ("n", Json.Number (float_of_int o.cfg.n));
       ("f", Json.Number (float_of_int o.cfg.f));
@@ -410,65 +410,49 @@ let to_json o =
     ]
 
 let of_json json =
-  try
-    let v = Json.int (Json.member "version" json) in
-    let k = Json.str (Json.member "kind" json) in
-    if k <> kind then Error (Printf.sprintf "expected kind %s, got %s" kind k)
-    else if v <> version then
-      Error (Printf.sprintf "unsupported %s version %d" kind v)
-    else
-      let seed =
-        match int_of_string_opt (Json.str (Json.member "seed" json)) with
-        | Some s -> s
-        | None -> raise (Json.Error "seed is not a decimal integer")
-      in
-      let cfg =
-        {
-          n = Json.int (Json.member "n" json);
-          f = Json.int (Json.member "f" json);
-          rounds = Json.int (Json.member "rounds" json);
-          observe_trials = Json.int (Json.member "observe_trials" json);
-          certify_trials = Json.int (Json.member "certify_trials" json);
-          exhaustive = Json.bool (Json.member "exhaustive" json);
-          seed;
-          jobs = None;
-        }
-      in
-      Ok
-        {
-          policy = Json.str (Json.member "policy" json);
-          cfg;
-          cands = string_list (Json.member "candidates" json);
-          sound = string_list (Json.member "sound" json);
-          conjuncts = string_list (Json.member "conjuncts" json);
-          frontier = string_list (Json.member "frontier" json);
-          witnesses =
-            List.map witness_of_json (Json.list (Json.member "witnesses" json));
-          separations =
-            List.map witness_of_json
-              (Json.list (Json.member "separations" json));
-          certified = Json.bool (Json.member "certified" json);
-          certify_violation =
-            (match Json.member "certify_violation" json with
-            | Json.Null -> None
-            | cv ->
-              Some
-                ( Json.int (Json.member "trial" cv),
-                  Rrfd.Fault_history.of_string_compact
-                    (Json.str (Json.member "history" cv)) ));
-          counters = [||];
-        }
-  with
-  | Json.Error e -> Error ("malformed e26-derive artifact: " ^ e)
-  | Invalid_argument e -> Error ("malformed e26-derive artifact: " ^ e)
+  Report.unwrap ~kind ~version json;
+  let seed =
+    match int_of_string_opt (Json.str (Json.member "seed" json)) with
+    | Some s -> s
+    | None -> raise (Json.Error "seed is not a decimal integer")
+  in
+  let cfg =
+    {
+      n = Json.int (Json.member "n" json);
+      f = Json.int (Json.member "f" json);
+      rounds = Json.int (Json.member "rounds" json);
+      observe_trials = Json.int (Json.member "observe_trials" json);
+      certify_trials = Json.int (Json.member "certify_trials" json);
+      exhaustive = Json.bool (Json.member "exhaustive" json);
+      seed;
+      jobs = None;
+    }
+  in
+  {
+    policy = Json.str (Json.member "policy" json);
+    cfg;
+    cands = string_list (Json.member "candidates" json);
+    sound = string_list (Json.member "sound" json);
+    conjuncts = string_list (Json.member "conjuncts" json);
+    frontier = string_list (Json.member "frontier" json);
+    witnesses =
+      List.map witness_of_json (Json.list (Json.member "witnesses" json));
+    separations =
+      List.map witness_of_json (Json.list (Json.member "separations" json));
+    certified = Json.bool (Json.member "certified" json);
+    certify_violation =
+      (match Json.member "certify_violation" json with
+      | Json.Null -> None
+      | cv ->
+        Some
+          ( Json.int (Json.member "trial" cv),
+            history_of_json (Json.member "history" cv) ));
+    counters = [||];
+  }
 
-let save path o = Report.save_json path (to_json o)
+let save path o = Report.save ~pretty:false path (to_json o)
 
-let load path =
-  match Json.of_string (In_channel.with_open_text path In_channel.input_all) with
-  | json -> of_json json
-  | exception Json.Error e -> Error ("malformed JSON in " ^ path ^ ": " ^ e)
-  | exception Sys_error e -> Error e
+let load = Report.load ~decode:of_json
 
 type replay = {
   loaded : outcome;

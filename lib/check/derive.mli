@@ -142,22 +142,18 @@ val pp : Format.formatter -> outcome -> unit
 
     Same discipline as {!Check.Artifact} and {!Check.Byz_check}: the
     JSON carries everything needed to re-check the claim from scratch.
-    Schema [e26-derive] version 1. *)
-
-val kind : string
-
-val version : int
+    Kind [e26-derive], version 1, in the {!Report.wrap} envelope. *)
 
 val to_json : outcome -> Report.Json.t
 
-val of_json : Report.Json.t -> (outcome, string) result
-(** [Error] on shape, kind or version mismatch ([counters] come back
-    empty, [jobs] as [None]). *)
+val of_json : Report.Json.t -> outcome
+(** [counters] come back empty, [jobs] as [None].
+    @raise Report.Json.Error on shape, kind or version mismatch. *)
 
 val save : string -> outcome -> unit
 
 val load : string -> (outcome, string) result
-(** [Error] also on an unreadable path. *)
+(** {!Report.load} with {!of_json}. *)
 
 type replay = {
   loaded : outcome;

@@ -202,4 +202,13 @@ let run_detailed ?(seed = 21) ?(trials = 40) ?jobs () =
   in
   (table, List.rev !histories)
 
+(* The grid artifact's detail: every trial's extracted history, per spec. *)
+let detail_json histories =
+  let str s = Report.Json.String s in
+  ( "histories",
+    Report.Json.Obj
+      (List.map
+         (fun (spec, hs) -> (spec, Report.Json.List (List.map str hs)))
+         histories) )
+
 let run ?seed ?trials ?jobs () = fst (run_detailed ?seed ?trials ?jobs ())

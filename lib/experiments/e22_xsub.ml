@@ -29,11 +29,12 @@ type sub_obs = {
 
 type trial_obs = { subs : sub_obs list; counters : Rrfd.Counters.t }
 
+(* Parsed eagerly: trials run on several domains, and forcing one lazy
+   value from two domains at once raises [Lazy.Undefined]. *)
 let lossy_adversary =
-  lazy
-    (match Msgnet.Adversary.of_spec "drop:p=20" with
-    | Ok a -> a
-    | Error e -> invalid_arg ("E22: " ^ e))
+  match Msgnet.Adversary.of_spec "drop:p=20" with
+  | Ok a -> a
+  | Error e -> invalid_arg ("E22: " ^ e)
 
 (* The comparable set: processes whose substrate execution the pinned
    replay is expected to reproduce.  The engine reproduces everybody; the
@@ -102,7 +103,7 @@ let run_trial proto ~policy ~rng =
     | _ -> []
   in
   let adversary =
-    match policy with "lossy" -> Some (Lazy.force lossy_adversary) | _ -> None
+    match policy with "lossy" -> Some lossy_adversary | _ -> None
   in
   let engine_ex =
     Protocols.Catalog.run_engine proto ~inputs ~max_rounds:rounds ~n ~f
@@ -203,5 +204,36 @@ let run_detailed ?(seed = 22) ?(trials = 30) ?jobs () =
     }
   in
   (table, List.rev !details)
+
+(* The matrix artifact's detail: every trial's per-substrate induced and
+   replayed histories, per (protocol, policy) cell. *)
+let detail_json details =
+  let module Json = Report.Json in
+  let str s = Json.String s in
+  let trial_json o =
+    Json.List
+      (List.map
+         (fun s ->
+           Json.Obj
+             [
+               ("sub", str s.sub);
+               ("induced", str s.compact);
+               ("replayed", str s.replay_compact);
+               ("decisions_ok", Json.Bool s.decisions_ok);
+               ("classes_ok", Json.Bool s.classes_ok);
+             ])
+         o.subs)
+  in
+  ( "cells",
+    Json.List
+      (List.map
+         (fun (protocol, policy, obs) ->
+           Json.Obj
+             [
+               ("protocol", str protocol);
+               ("policy", str policy);
+               ("trials", Json.List (List.map trial_json obs));
+             ])
+         details) )
 
 let run ?seed ?trials ?jobs () = fst (run_detailed ?seed ?trials ?jobs ())

@@ -195,17 +195,17 @@ let run ?seed ?trials ?jobs () = table_of (collect ?seed ?trials ?jobs ())
 
 (* {2 Artifact codec}
 
-   Version-tagged so [live --grid --from] can refuse foreign files; the
-   decisions array uses the counterexample artifact's null-for-undecided
-   convention. *)
+   In the {!Report.wrap} envelope so [live --grid --from] can refuse
+   foreign files; the decisions array uses the counterexample artifact's
+   null-for-undecided convention. *)
+
+let kind = "rrfd-live-grid"
 
 let version = 1
 
 let to_json records =
-  Json.Obj
+  Report.wrap ~kind ~version
     [
-      ("version", Json.Number (float_of_int version));
-      ("kind", Json.String "rrfd-live-grid");
       ("protocol", Json.String protocol);
       ( "records",
         Json.List
@@ -235,15 +235,7 @@ let to_json records =
     ]
 
 let of_json json =
-  let v = Json.int (Json.member "version" json) in
-  if v <> version then
-    raise
-      (Json.Error
-         (Printf.sprintf "live-grid artifact version %d, expected %d" v
-            version));
-  (match Json.str (Json.member "kind" json) with
-  | "rrfd-live-grid" -> ()
-  | k -> raise (Json.Error (Printf.sprintf "unexpected artifact kind %S" k)));
+  Report.unwrap ~kind ~version json;
   List.map
     (fun r ->
       {
@@ -252,7 +244,11 @@ let of_json json =
         patience = Json.str (Json.member "patience" r);
         inputs =
           Array.of_list (List.map Json.int (Json.list (Json.member "inputs" r)));
-        history = Json.str (Json.member "history" r);
+        history =
+          (let h = Json.str (Json.member "history" r) in
+           match Rrfd.Fault_history.of_string_compact h with
+           | _ -> h
+           | exception Invalid_argument msg -> raise (Json.Error msg));
         decisions =
           Array.of_list
             (List.map

@@ -171,4 +171,19 @@ let run_detailed ?(seed = 26) ?(trials = 250) ?jobs () =
   in
   (table, rows)
 
+(* The grid artifact's detail: every row's full e26-derive artifact. *)
+let detail_json rows =
+  let module Json = Report.Json in
+  ( "derivations",
+    Json.List
+      (List.map
+         (fun r ->
+           Json.Obj
+             [
+               ("policy", Json.String r.policy);
+               ("mode", Json.String r.mode);
+               ("artifact", Check.Derive.to_json r.outcome);
+             ])
+         rows) )
+
 let run ?seed ?trials ?jobs () = fst (run_detailed ?seed ?trials ?jobs ())

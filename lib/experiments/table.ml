@@ -70,3 +70,17 @@ let print t =
   else Printf.printf "  [%s FAILED]\n" t.id
 
 let ok t = not (List.exists (List.exists (String.equal "NO")) t.rows)
+
+let to_json ~seed t ~detail =
+  let module Json = Report.Json in
+  let str s = Json.String s in
+  Json.Obj
+    [
+      ("id", str t.id);
+      ("seed", Json.Number (float_of_int seed));
+      ("header", Json.List (List.map str t.header));
+      ( "rows",
+        Json.List (List.map (fun row -> Json.List (List.map str row)) t.rows) );
+      ("ok", Json.Bool (ok t));
+      detail;
+    ]

@@ -38,3 +38,8 @@ val print : t -> unit
 val ok : t -> bool
 (** True iff no row cell equals ["NO"] — the quick health signal used by
     the harness exit code. *)
+
+val to_json : seed:int -> t -> detail:string * Report.Json.t -> Report.Json.t
+(** The grid artifact every [--grid --json] subcommand writes:
+    [{id, seed, header, rows, ok, <detail>}], where [detail] is the
+    experiment's own [(key, value)] (E21's histories, E22's cells, …). *)

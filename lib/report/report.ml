@@ -48,6 +48,24 @@ type t = {
   speedup : speedup option;
 }
 
+let git_short_sha () =
+  try
+    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+    let line = try input_line ic with End_of_file -> "" in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when line <> "" -> line
+    | _ -> "unknown"
+  with _ -> "unknown"
+
+let host_meta ~seed =
+  {
+    seed;
+    jobs = Runtime.Pool.recommended_jobs ();
+    recommended_jobs = Domain.recommended_domain_count ();
+    git_sha = git_short_sha ();
+    hostname = (try Unix.gethostname () with _ -> "unknown");
+  }
+
 let stat_of_stats (s : Runtime.Stats.t) =
   {
     count = s.Runtime.Stats.count;
@@ -198,42 +216,42 @@ let to_string r = Json.to_string (to_json r)
 
 let of_string s = of_json (Json.of_string s)
 
-let save path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string r);
-      output_char oc '\n')
-
-let load path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
-
 (* ------------------------------------------------------------------ *)
 (* Artifact plumbing shared by every subcommand that writes one.       *)
-
-let git_short_sha () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "unknown"
-  with _ -> "unknown"
 
 let artifact_path ~prefix path =
   if path = "auto" then Printf.sprintf "%s_%s.json" prefix (git_short_sha ())
   else path
 
-let save_json path json =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string json);
+(* The envelope every kind-tagged artifact shares: "version" and "kind"
+   lead the object, and decoding refuses any other pair with one message. *)
+let wrap ~kind ~version fields =
+  Json.Obj
+    (("version", Json.Number (float_of_int version))
+    :: ("kind", Json.String kind)
+    :: fields)
+
+let unwrap ~kind ~version json =
+  match (Json.member "kind" json, Json.member "version" json) with
+  | Json.String k, Json.Number v when k = kind && v = float_of_int version -> ()
+  | k, v ->
+    raise
+      (Json.Error
+         (Printf.sprintf "expected kind %S version %d, found kind %s version %s"
+            kind version (Json.to_string k) (Json.to_string v)))
+
+let load ~decode path =
+  match
+    decode (Json.of_string (In_channel.with_open_bin path In_channel.input_all))
+  with
+  | v -> Result.Ok v
+  | exception Sys_error msg -> Result.Error msg
+  | exception Json.Error msg -> Result.Error (path ^ ": " ^ msg)
+
+let save ~pretty path json =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        (if pretty then Json.to_string_pretty json else Json.to_string json);
       output_char oc '\n')
 
 (* ------------------------------------------------------------------ *)

@@ -85,6 +85,10 @@ type t = {
   speedup : speedup option;
 }
 
+val host_meta : seed:int -> meta
+(** Metadata for a report recorded now: this machine's job counts and
+    hostname, and the checkout's short git sha. *)
+
 val stat_of_stats : Runtime.Stats.t -> stat
 
 val to_json : t -> Json.t
@@ -97,28 +101,36 @@ val to_string : t -> string
 val of_string : string -> t
 (** @raise Json.Error on malformed input. *)
 
-val save : string -> t -> unit
-(** Write to a file (trailing newline included). *)
-
-val load : string -> t
-(** @raise Json.Error on malformed content; [Sys_error] on I/O failure. *)
-
 (** {1 Artifact plumbing}
 
-    Every subcommand that writes a JSON artifact ([bench --json],
-    [faultnet --json], [xsub --json], [live --record]) resolves its
-    output path and serialises through these, so the ["auto"] naming
-    convention is defined exactly once. *)
-
-val git_short_sha : unit -> string
-(** [git rev-parse --short HEAD], or ["unknown"] outside a work tree. *)
+    Every JSON file this repo writes or reads — BENCH reports, grid
+    artifacts, counterexamples, e24-byz and e26-derive witnesses — goes
+    through these, so the ["auto"] naming convention, the
+    [{version, kind}] envelope and the load-failure convention are each
+    defined exactly once. *)
 
 val artifact_path : prefix:string -> string -> string
 (** [artifact_path ~prefix path] is [path] verbatim, except the literal
-    ["auto"] becomes [<prefix>_<git_short_sha>.json]. *)
+    ["auto"] becomes [<prefix>_<sha>.json], where [<sha>] is
+    [git rev-parse --short HEAD] (["unknown"] outside a work tree). *)
 
-val save_json : string -> Json.t -> unit
-(** Write compact JSON with a trailing newline. *)
+val wrap : kind:string -> version:int -> (string * Json.t) list -> Json.t
+(** [wrap ~kind ~version fields] is the object
+    [{"version": version, "kind": kind, fields...}]. *)
+
+val unwrap : kind:string -> version:int -> Json.t -> unit
+(** Check that a document carries exactly this [kind] and [version].
+    @raise Json.Error otherwise, naming what was expected and found. *)
+
+val load : decode:(Json.t -> 'a) -> string -> ('a, string) result
+(** Read, parse and [decode] the file at a path.  [Error] (one line,
+    naming the path) on an unreadable file, malformed JSON, or a
+    [decode] that raises {!Json.Error} — the only exception a decoder
+    may raise. *)
+
+val save : pretty:bool -> string -> Json.t -> unit
+(** Write JSON — indented when [pretty], compact otherwise — with a
+    trailing newline. *)
 
 (** {1 Regression check} *)
 

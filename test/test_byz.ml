@@ -283,27 +283,31 @@ let artifact_roundtrip () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Byz.save path artifact;
-      let r = Byz.replay (Byz.load path) in
-      Alcotest.(check bool) "replay reproduces" true (Byz.reproduced r);
-      Alcotest.(check bool) "replayed verdict accountable" true
-        (r.Byz.verdict = Acc.Accountable));
-  (* Malformed inputs are rejected, not misread. *)
-  let reject name j =
-    match Byz.of_json j with
-    | exception Report.Json.Error _ -> ()
-    | _ -> Alcotest.failf "%s should not parse" name
-  in
-  (match json with
-  | Report.Json.Obj fields ->
-    reject "wrong version"
-      (Report.Json.Obj
-         (("version", Report.Json.Number 99.0)
-         :: List.remove_assoc "version" fields));
-    reject "wrong kind"
-      (Report.Json.Obj
-         (("kind", Report.Json.String "e20-counterexample")
-         :: List.remove_assoc "kind" fields))
-  | _ -> Alcotest.fail "artifact JSON is not an object")
+      (match Byz.load path with
+      | Error e -> Alcotest.fail e
+      | Ok loaded ->
+        let r = Byz.replay loaded in
+        Alcotest.(check bool) "replay reproduces" true (Byz.reproduced r);
+        Alcotest.(check bool) "replayed verdict accountable" true
+          (r.Byz.verdict = Acc.Accountable));
+      (* Malformed inputs are rejected, not misread. *)
+      let reject name j =
+        Report.save ~pretty:false path j;
+        match Byz.load path with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.failf "%s should not parse" name
+      in
+      match json with
+      | Report.Json.Obj fields ->
+        reject "wrong version"
+          (Report.Json.Obj
+             (("version", Report.Json.Number 99.0)
+             :: List.remove_assoc "version" fields));
+        reject "wrong kind"
+          (Report.Json.Obj
+             (("kind", Report.Json.String "e20-counterexample")
+             :: List.remove_assoc "kind" fields))
+      | _ -> Alcotest.fail "artifact JSON is not an object")
 
 let tests =
   [

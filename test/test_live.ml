@@ -238,8 +238,7 @@ let record_roundtrip () =
       ~finally:(fun () -> Sys.remove path)
       (fun () ->
         Check.Artifact.save path artifact;
-        let loaded = Check.Artifact.load path in
-        match Check.Artifact.replay loaded with
+        match Result.bind (Check.Artifact.load path) Check.Artifact.replay with
         | Error e -> Alcotest.fail e
         | Ok replay ->
           Alcotest.(check bool) "clean recording" false
@@ -264,28 +263,134 @@ let effective_jobs_guard () =
   Alcotest.(check int) "explicit cap respected" 1
     (Live.effective_jobs ~jobs:1 ~n_procs:1 ())
 
-(* E23's artifact codec: decode inverts encode, foreign documents are
-   refused. *)
+let ok_or_fail = function Ok v -> v | Error e -> Alcotest.fail e
+
+(* One valid artifact of every kind with a decoder, each packed as
+   (kind, encoded JSON, decode-then-re-encode, the loader the CLI uses). *)
+let codec kind ~to_json ~of_json ~load value =
+  ( kind,
+    to_json value,
+    (fun json -> Report.Json.to_string (to_json (of_json json))),
+    fun path -> Result.map ignore (load path) )
+
+let artifact_codecs =
+  lazy
+    (let records = Experiments.E23_live.collect ~trials:1 () in
+     let ce =
+       match
+         Check.Checker.fuzz
+           { Check.Checker.n = 4; rounds = 1; trials = 500; seed = 7;
+             jobs = Some 1; attempts = 64 }
+           ~sut:Check.Sut.kset_one_round ~predicate:(Rrfd.Predicate.k_set ~k:3)
+           ~properties:[ ok_or_fail (Check.Spec.property "k-agreement:k=2") ]
+           ()
+       with
+       | Some ce -> ce
+       | None -> Alcotest.fail "seeded k-set violation not found"
+     in
+     let w =
+       Check.Byz_check.derive_witness ~n:4 ~f:1 ~byz:2 ~forge:true
+         ~rng:(Dsim.Rng.create 3)
+     in
+     let derivation =
+       ok_or_fail
+         (Check.Derive.derive
+            ~cfg:
+              { Check.Derive.default_config with
+                observe_trials = 20; certify_trials = 20; seed = 9 }
+            ~policy:"drop:p=30" ())
+     in
+     [
+       codec "rrfd-live-grid" ~to_json:Experiments.E23_live.to_json
+         ~of_json:Experiments.E23_live.of_json
+         ~load:(Report.load ~decode:Experiments.E23_live.of_json)
+         records;
+       codec "rrfd-counterexample" ~to_json:Check.Artifact.to_json
+         ~of_json:Check.Artifact.of_json ~load:Check.Artifact.load
+         (Check.Artifact.make ~sut_spec:"kset-one-round"
+            ~predicate_spec:"kset:k=3" ~property_specs:[ "k-agreement:k=2" ]
+            ~seed:7 ce);
+       codec "e24-byz" ~to_json:Check.Byz_check.to_json
+         ~of_json:Check.Byz_check.of_json ~load:Check.Byz_check.load
+         (Check.Byz_check.of_outcome w (Check.Byz_check.run_witness w));
+       codec "e26-derive" ~to_json:Check.Derive.to_json
+         ~of_json:Check.Derive.of_json ~load:Check.Derive.load derivation;
+     ])
+
+let replace_field key value = function
+  | Report.Json.Obj fields ->
+    Report.Json.Obj
+      (List.map (fun (k, v) -> (k, if k = key then value else v)) fields)
+  | _ -> Alcotest.fail "artifact JSON is not an object"
+
+(* Every artifact codec: encode -> decode -> encode is byte-identical;
+   E23's table also regenerates from decoded records. *)
 let e23_codec () =
-  let records = Experiments.E23_live.collect ~trials:1 () in
-  let json = Experiments.E23_live.to_json records in
-  let s = Report.Json.to_string json in
-  let back = Experiments.E23_live.of_json (Report.Json.of_string s) in
-  Alcotest.(check string) "codec roundtrip" s
-    (Report.Json.to_string (Experiments.E23_live.to_json back));
+  List.iter
+    (fun (kind, json, reencode, _) ->
+      let s = Report.Json.to_string json in
+      Alcotest.(check string) (kind ^ " codec roundtrip") s
+        (reencode (Report.Json.of_string s)))
+    (Lazy.force artifact_codecs);
+  let _, live_grid, _, _ = List.hd (Lazy.force artifact_codecs) in
   Alcotest.(check bool) "table regenerates ok" true
-    (Experiments.Table.ok (Experiments.E23_live.table_of back));
-  (match
-     Experiments.E23_live.of_json
-       (Report.Json.of_string {|{"version": 1, "kind": "rrfd-counterexample"}|})
-   with
-  | exception Report.Json.Error _ -> ()
-  | _ -> Alcotest.fail "foreign kind accepted");
-  match
-    Experiments.E23_live.of_json (Report.Json.of_string {|{"version": 99}|})
-  with
-  | exception Report.Json.Error _ -> ()
-  | _ -> Alcotest.fail "foreign version accepted"
+    (Experiments.Table.ok
+       (Experiments.E23_live.table_of (Experiments.E23_live.of_json live_grid)))
+
+(* Hostile input at every artifact loader — a missing file, non-JSON
+   bytes, another kind's valid artifact, a future version, a seed that is
+   not a decimal integer — gives [Error], never an exception. *)
+let hostile_artifacts () =
+  let codecs = Lazy.force artifact_codecs in
+  let dir = Filename.temp_dir "rrfd_hostile" "" in
+  let file name contents =
+    let path = Filename.concat dir (name ^ ".json") in
+    Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+    path
+  in
+  let json_file name json = file name (Report.Json.to_string json) in
+  let inputs =
+    (Filename.concat dir "missing.json", None)
+    :: (file "garbage" "{\"version\": 1, \"kind\"", None)
+    :: List.concat_map
+         (fun (kind, json, _, _) ->
+           [
+             (json_file kind json, Some kind);
+             ( json_file (kind ^ "-v99")
+                 (replace_field "version" (Report.Json.Number 99.0) json),
+               None );
+           ])
+         codecs
+    @
+    let _, byz, _, _ = List.find (fun (k, _, _, _) -> k = "e24-byz") codecs in
+    [
+      ( json_file "byz-seed"
+          (replace_field "seed" (Report.Json.String "abc") byz),
+        None );
+    ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (path, _) -> try Sys.remove path with Sys_error _ -> ())
+        inputs;
+      Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (kind, _, _, load) ->
+          List.iter
+            (fun (path, valid_for) ->
+              match load path with
+              | Ok () when valid_for = Some kind -> ()
+              | Ok () -> Alcotest.failf "%s loader accepted %s" kind path
+              | Error _ when valid_for <> Some kind -> ()
+              | Error e ->
+                Alcotest.failf "%s loader refused its own kind: %s" kind e
+              | exception e ->
+                Alcotest.failf "%s loader raised %s on %s" kind
+                  (Printexc.to_string e) path)
+            inputs)
+        codecs)
 
 let tests =
   [
@@ -300,4 +405,6 @@ let tests =
     Alcotest.test_case "record artifact roundtrip" `Quick record_roundtrip;
     Alcotest.test_case "effective-jobs guard" `Quick effective_jobs_guard;
     Alcotest.test_case "E23 artifact codec" `Quick e23_codec;
+    Alcotest.test_case "artifact loaders refuse hostile input" `Quick
+      hostile_artifacts;
   ]
