@@ -79,16 +79,15 @@ let engine_kernel n ~rounds =
     (Rrfd.Engine.run ~n ~max_rounds:4 ~check:(stop_after rounds)
        ~stop_when_decided:false ~algorithm ~detector ())
 
+(* The same fixture through the protocol catalog's dispatch, which every
+   experiment and the model checker use to reach the engine. *)
 let substrate_dispatch n ~rounds =
-  let detector, algorithm = fixture n in
-  let config =
-    {
-      Rrfd.Engine.As_substrate.detector;
-      check = Some (stop_after rounds);
-      stop_when_decided = false;
-    }
-  in
-  ignore (Rrfd.Engine.As_substrate.execute config ~n ~rounds:4 ~algorithm)
+  let detector, _ = fixture n in
+  ignore
+    (Protocols.Catalog.run_engine
+       (Protocols.Catalog.find_exn "kset-one-round")
+       ~inputs:(Tasks.Inputs.distinct n) ~check:(stop_after rounds)
+       ~stop_when_decided:false ~max_rounds:4 ~n ~f:1 ~detector ())
 
 let () =
   Printf.printf "=== alloc smoke: minor words per steady-state round ===\n";

@@ -377,7 +377,7 @@ let check_cmd =
     Printf.printf "  compact: %s\n"
       (Rrfd.Fault_history.to_string_compact ce.history);
     Format.printf "  decisions: %a@."
-      (pp_decisions (Check.Sut.pp_out sut))
+      (pp_decisions (Protocols.Catalog.pp_out sut))
       ce.decisions;
     Printf.printf "  failure: %s\n" ce.failure
   in
@@ -396,7 +396,7 @@ let check_cmd =
     if with_trace then
       Printf.printf "%s\n" replay.Check.Artifact.transcript;
     Format.printf "  decisions: %a@."
-      (pp_decisions (Check.Sut.pp_out sut))
+      (pp_decisions (Protocols.Catalog.pp_out sut))
       replay.Check.Artifact.obs.Check.Property.decisions;
     (match replay.Check.Artifact.failure with
     | Some (prop, msg) -> Printf.printf "  failure: %s: %s\n" prop msg
@@ -529,25 +529,25 @@ let faultnet_cmd =
   in
   let run_single ~seed ~spec ~n ~f ~rounds =
     let adversary = or_die (Check.Spec.adversary spec) in
-    let d =
-      Msgnet.Round_layer.differential ~seed ~adversary
-        ~equal:Rrfd.Full_info.equal ~n ~f ~rounds
-        ~algorithm:(Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n))
-        ()
+    let algorithm =
+      Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n)
     in
-    let o = d.Msgnet.Round_layer.outcome in
+    let o =
+      Msgnet.Round_layer.run ~seed ~adversary ~n ~f ~rounds ~algorithm ()
+    in
+    let ex = o.execution in
+    let d =
+      Rrfd.Engine.differential ~equal:Rrfd.Full_info.equal ~algorithm ex
+    in
     Printf.printf "faultnet: %s over n=%d f=%d rounds=%d (seed %d)\n" spec n f
       rounds seed;
     Printf.printf "  messages: sent=%d delivered=%d dropped=%d duplicated=%d\n"
-      o.Msgnet.Round_layer.messages_sent o.Msgnet.Round_layer.messages_delivered
-      o.Msgnet.Round_layer.messages_dropped
-      o.Msgnet.Round_layer.messages_duplicated;
+      o.messages_sent ex.counters.messages o.messages_dropped
+      o.messages_duplicated;
     Printf.printf "  completed rounds: %s  (virtual time %.1f)\n"
-      (String.concat " "
-         (Array.to_list
-            (Array.map string_of_int o.Msgnet.Round_layer.completed)))
-      o.Msgnet.Round_layer.virtual_time;
-    let induced = o.Msgnet.Round_layer.induced in
+      (String.concat " " (Array.to_list (Array.map string_of_int ex.completed)))
+      o.virtual_time;
+    let induced = ex.induced in
     Format.printf "  induced history:@;<1 4>@[<v>%a@]@." Rrfd.Fault_history.pp
       induced;
     Printf.printf "  compact: %s\n"
@@ -559,16 +559,18 @@ let faultnet_cmd =
             (fun (p, b) -> Printf.sprintf "%s=%s" p (if b then "yes" else "no"))
             held));
     let p3 = List.assoc "P3" held in
-    if d.Msgnet.Round_layer.matched then
+    (match d.divergence with
+    | None ->
       Printf.printf "  replay: engine decisions match the network's%s.\n"
-        (if d.Msgnet.Round_layer.all_completed then ""
+        (if Array.for_all (fun c -> c = rounds) ex.completed then ""
          else " over the completed prefix")
-    else Printf.printf "  replay: DIVERGED from the abstract engine.\n";
+    | Some i ->
+      Printf.printf "  replay: DIVERGED from the abstract engine at p%d.\n" i);
     if not p3 then
       Printf.printf
         "  P3 VIOLATED: some D(i,r) exceeds f — the round layer's guarantee \
          broke.\n";
-    if d.Msgnet.Round_layer.matched && p3 then 0 else 1
+    if d.divergence = None && p3 then 0 else 1
   in
   let run seed trials jobs spec n f rounds grid json =
     setup_logs ();
@@ -691,16 +693,14 @@ let live_cmd =
   in
   let differential_once proto ~inputs ~patience ~n ~f ~rounds =
     let ex = Protocols.Catalog.run_live proto ~inputs ~patience ~n ~f ~rounds () in
-    let replayed =
-      Protocols.Catalog.replay proto ~inputs ~f
-        ~history:ex.Rrfd.Substrate.induced ()
-    in
-    (ex, ex.Rrfd.Substrate.decisions = replayed.Rrfd.Substrate.decisions)
+    (ex, (Protocols.Catalog.differential proto ~inputs ~f ex).divergence)
   in
   let run_single ~proto_name ~patience ~n ~f ~rounds ~record =
     let proto = find_protocol proto_name in
     let inputs = Protocols.Catalog.default_inputs ~n in
-    let ex, matched = differential_once proto ~inputs ~patience ~n ~f ~rounds in
+    let ex, divergence =
+      differential_once proto ~inputs ~patience ~n ~f ~rounds
+    in
     Printf.printf "live: %s over n=%d f=%d rounds=%d, patience %s\n" proto_name
       n f rounds
       (Live.Patience.to_string patience);
@@ -717,9 +717,10 @@ let live_cmd =
          (List.map
             (fun (p, b) -> Printf.sprintf "%s=%s" p (if b then "yes" else "no"))
             (Msgnet.Heard_of.classify ~f induced)));
-    if matched then
-      Printf.printf "  replay: engine decisions match the live run's.\n"
-    else Printf.printf "  replay: DIVERGED from the abstract engine.\n";
+    (match divergence with
+    | None -> Printf.printf "  replay: engine decisions match the live run's.\n"
+    | Some i ->
+      Printf.printf "  replay: DIVERGED from the abstract engine at p%d.\n" i);
     let recorded_ok =
       match record with
       | None -> true
@@ -738,7 +739,7 @@ let live_cmd =
           Printf.printf "  record FAILED: %s\n" msg;
           false)
     in
-    if matched && recorded_ok then 0 else 1
+    if divergence = None && recorded_ok then 0 else 1
   in
   let run_stress ~seed ~proto_name ~patience ~n ~f ~rounds count =
     let proto = find_protocol proto_name in
@@ -747,8 +748,10 @@ let live_cmd =
       let rng = Dsim.Rng.derive ~seed ~stream:trial in
       let inputs = Protocols.Catalog.default_inputs ~n in
       Dsim.Rng.shuffle_in_place rng inputs;
-      let _, matched = differential_once proto ~inputs ~patience ~n ~f ~rounds in
-      if not matched then incr mismatches
+      let _, divergence =
+        differential_once proto ~inputs ~patience ~n ~f ~rounds
+      in
+      if divergence <> None then incr mismatches
     done;
     Printf.printf
       "live stress: %s, n=%d f=%d rounds=%d, patience %s: %d/%d replays \

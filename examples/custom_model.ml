@@ -81,11 +81,11 @@ let () =
         ~detector:(majority_detector (Dsim.Rng.split rng) ~n)
         ()
     in
-    assert (outcome.Rrfd.Engine.violation = None);
+    assert (outcome.Rrfd.Substrate.violation = None);
     worst :=
       max !worst
         (Tasks.Agreement.distinct_decisions
-           ~decisions:outcome.Rrfd.Engine.decisions)
+           ~decisions:outcome.Rrfd.Substrate.decisions)
   done;
   Printf.printf
     "  one-round agreement over %d adversarial runs: worst %d distinct \
@@ -106,6 +106,6 @@ let () =
       ~detector:cheating ()
   in
   Printf.printf "  cheating detector: %s\n"
-    (match outcome.Rrfd.Engine.violation with
+    (match outcome.Rrfd.Substrate.violation with
     | Some reason -> "caught — " ^ reason
     | None -> "NOT caught (bug!)")

@@ -27,23 +27,23 @@ let () =
 
   Printf.printf "system: n = %d processes, k-set detector with k = %d\n" n k;
   Printf.printf "rounds used: %d (Theorem 3.1 promises exactly 1)\n"
-    outcome.Rrfd.Engine.rounds_used;
+    outcome.Rrfd.Substrate.rounds_used;
 
   (* What did the detector do, and what did everyone decide? *)
   Format.printf "fault history:@.%a@." Rrfd.Fault_history.pp
-    outcome.Rrfd.Engine.history;
+    outcome.Rrfd.Substrate.induced;
   Array.iteri
     (fun i d ->
       match d with
       | Some v -> Printf.printf "  p%d decided %d\n" i v
       | None -> Printf.printf "  p%d undecided\n" i)
-    outcome.Rrfd.Engine.decisions;
+    outcome.Rrfd.Substrate.decisions;
 
   (* The checker: validity, termination, and at most k distinct values. *)
-  (match Tasks.Agreement.check ~k ~inputs outcome.Rrfd.Engine.decisions with
+  (match Tasks.Agreement.check ~k ~inputs outcome.Rrfd.Substrate.decisions with
   | None ->
     Printf.printf "k-set agreement: OK (%d distinct decision(s), bound %d)\n"
-      (Tasks.Agreement.distinct_decisions ~decisions:outcome.Rrfd.Engine.decisions)
+      (Tasks.Agreement.distinct_decisions ~decisions:outcome.decisions)
       k
   | Some reason -> Printf.printf "k-set agreement VIOLATED: %s\n" reason);
 
@@ -55,6 +55,6 @@ let () =
     Rrfd.Engine.run ~n ~algorithm:(Rrfd.Kset.consensus ~inputs) ~detector ()
   in
   Printf.printf "consensus under identical views: %s\n"
-    (match Tasks.Agreement.check ~k:1 ~inputs outcome.Rrfd.Engine.decisions with
+    (match Tasks.Agreement.check ~k:1 ~inputs outcome.decisions with
     | None -> "OK"
     | Some reason -> "VIOLATED: " ^ reason)

@@ -27,7 +27,7 @@ let () =
       ()
   in
   Printf.printf "simulated %d rounds (⌊f/k⌋ = ⌊%d/%d⌋)\n"
-    result.Rrfd.Sim_omission.outcome.Rrfd.Engine.rounds_used f k;
+    result.Rrfd.Sim_omission.execution.Rrfd.Substrate.rounds_used f k;
   Printf.printf "omission predicate on the induced history: %s\n"
     (match result.Rrfd.Sim_omission.omission_violation with
     | None -> "holds"
@@ -74,8 +74,8 @@ let () =
     let live_decisions =
       Array.mapi
         (fun i d ->
-          if Rrfd.Pset.mem i result.Syncnet.Sync_net.crashed then None else d)
-        result.Syncnet.Sync_net.decisions
+          if Rrfd.Pset.mem i result.Rrfd.Substrate.crashed then None else d)
+        result.Rrfd.Substrate.decisions
     in
     let distinct = Tasks.Agreement.distinct_decisions ~decisions:live_decisions in
     Printf.printf "  horizon %d: %d distinct decisions %s\n" horizon distinct

@@ -62,6 +62,8 @@ let of_json json =
     try Rrfd.Fault_history.of_string_compact history_text
     with Invalid_argument msg -> raise (Json.Error msg)
   in
+  (* Every size in the file is the history's process count. *)
+  let n = Rrfd.Fault_history.n history in
   {
     sut = Json.str (Json.member "sut" json);
     predicate = Json.str (Json.member "predicate" json);
@@ -70,14 +72,16 @@ let of_json json =
     counterexample =
       {
         Checker.sut = Json.str (Json.member "sut" json);
-        n = Json.int (Json.member "n" json);
+        n = Json.int_in ~lo:n ~hi:n "n" json;
         inputs =
           Json.list (Json.member "inputs" json)
-          |> List.map Json.int |> Array.of_list;
+          |> List.map Json.int |> Array.of_list |> Json.sized ~n "inputs";
         history;
         property = Json.str (Json.member "property" json);
         failure = Json.str (Json.member "failure" json);
-        decisions = decisions_of_json (Json.member "decisions" json);
+        decisions =
+          Json.sized ~n "decisions"
+            (decisions_of_json (Json.member "decisions" json));
         trial = Json.int (Json.member "trial" json);
         shrink_steps = Json.int (Json.member "shrink_steps" json);
       };
@@ -111,9 +115,9 @@ let record ~sut_spec ?(predicate_spec = "true") ?(seed = 0) ~n ~history () =
                 seed;
                 counterexample =
                   {
-                    Checker.sut = Sut.name sut;
+                    Checker.sut = Protocols.Catalog.name sut;
                     n;
-                    inputs = Sut.default_inputs ~n;
+                    inputs = Protocols.Catalog.default_inputs ~n;
                     history;
                     property = "";
                     failure = "";

@@ -240,10 +240,12 @@ let strategy_to_json = function
               ("cert_quorum", pset_to_json quorum);
             ]))
 
-let strategy_of_json = function
+let strategy_of_json ~n = function
   | Json.Null -> None
   | json ->
-      let votes = int_array_of_json (Json.member "votes" json) in
+      let votes =
+        Json.sized ~n "votes" (int_array_of_json (Json.member "votes" json))
+      in
       let cert =
         if Json.mem "cert_value" json then
           Some
@@ -271,11 +273,12 @@ let to_json t =
 
 let of_json json =
   Report.unwrap ~kind ~version json;
+  let n = Json.int_in ~lo:1 ~hi:Rrfd.Pset.max_universe "n" json in
   {
     witness =
       {
-        n = Json.int (Json.member "n" json);
-        f = Json.int (Json.member "f" json);
+        n;
+        f = Json.int_in ~lo:0 ~hi:(n - 1) "f" json;
         seed =
           (match Json.member "seed" json with
           | Json.String s -> (
@@ -283,10 +286,13 @@ let of_json json =
             | Some seed -> seed
             | None -> raise (Json.Error ("seed is not a decimal integer: " ^ s)))
           | j -> Json.int j);
-        inputs = int_array_of_json (Json.member "inputs" json);
+        inputs =
+          Json.sized ~n "inputs"
+            (int_array_of_json (Json.member "inputs" json));
         strategies =
           Json.list (Json.member "strategies" json)
-          |> List.map strategy_of_json |> Array.of_list;
+          |> List.map (strategy_of_json ~n)
+          |> Array.of_list |> Json.sized ~n "strategies";
       };
     expected_fork = Json.bool (Json.member "expected_fork" json);
     expected_accused = pset_of_json (Json.member "expected_accused" json);

@@ -41,7 +41,7 @@ let finish ~sut ~predicate ~properties ~trial raw =
     assert false
   | Some (prop, msg) ->
     {
-      sut = Sut.name sut;
+      sut = Protocols.Catalog.name sut;
       n = obs.Property.n;
       inputs = obs.Property.inputs;
       (* Record the executed history, not the shrunk input: replay pads a

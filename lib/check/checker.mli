@@ -19,7 +19,7 @@
     what comes out is a minimal legal history refuting the property. *)
 
 type counterexample = {
-  sut : string;  (** {!Sut.name} of the refuted system. *)
+  sut : string;  (** Catalog name of the refuted system. *)
   n : int;  (** System size after shrinking. *)
   inputs : int array;  (** The inputs used ([Tasks.Inputs.distinct n]). *)
   history : Rrfd.Fault_history.t;  (** Minimal predicate-satisfying history. *)

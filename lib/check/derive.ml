@@ -98,12 +98,13 @@ type outcome = {
 
 let induced_history ~adversary ~n ~f ~rounds ~rng =
   let seed = Dsim.Rng.bits30 rng in
-  let r =
-    Msgnet.Round_layer.run ~seed ~adversary ~n ~f ~rounds
-      ~algorithm:(Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n))
-      ()
+  let ex =
+    (Msgnet.Round_layer.run ~seed ~adversary ~n ~f ~rounds
+       ~algorithm:(Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n))
+       ())
+      .execution
   in
-  (r.Msgnet.Round_layer.induced, r.Msgnet.Round_layer.counters)
+  (ex.induced, ex.counters)
 
 let ( let* ) = Result.bind
 
@@ -416,29 +417,42 @@ let of_json json =
     | Some s -> s
     | None -> raise (Json.Error "seed is not a decimal integer")
   in
+  let n = Json.int_in ~lo:1 ~hi:Rrfd.Pset.max_universe "n" json in
   let cfg =
     {
-      n = Json.int (Json.member "n" json);
-      f = Json.int (Json.member "f" json);
-      rounds = Json.int (Json.member "rounds" json);
-      observe_trials = Json.int (Json.member "observe_trials" json);
-      certify_trials = Json.int (Json.member "certify_trials" json);
+      n;
+      f = Json.int_in ~lo:0 ~hi:(n - 1) "f" json;
+      rounds = Json.int_in ~lo:1 ~hi:max_int "rounds" json;
+      observe_trials = Json.int_in ~lo:0 ~hi:max_int "observe_trials" json;
+      certify_trials = Json.int_in ~lo:0 ~hi:max_int "certify_trials" json;
       exhaustive = Json.bool (Json.member "exhaustive" json);
       seed;
       jobs = None;
     }
   in
+  let cands = string_list (Json.member "candidates" json) in
+  (* Replay looks every witness's spec up among the candidates and checks
+     its history against predicates over [n] processes. *)
+  let witnesses key =
+    List.map
+      (fun j ->
+        let w = witness_of_json j in
+        if not (List.mem w.spec cands) then
+          raise (Json.Error ("witness for unknown candidate " ^ w.spec));
+        if Rrfd.Fault_history.n w.history <> n then
+          raise (Json.Error "witness history is not over n processes");
+        w)
+      (Json.list (Json.member key json))
+  in
   {
     policy = Json.str (Json.member "policy" json);
     cfg;
-    cands = string_list (Json.member "candidates" json);
+    cands;
     sound = string_list (Json.member "sound" json);
     conjuncts = string_list (Json.member "conjuncts" json);
     frontier = string_list (Json.member "frontier" json);
-    witnesses =
-      List.map witness_of_json (Json.list (Json.member "witnesses" json));
-    separations =
-      List.map witness_of_json (Json.list (Json.member "separations" json));
+    witnesses = witnesses "witnesses";
+    separations = witnesses "separations";
     certified = Json.bool (Json.member "certified" json);
     certify_violation =
       (match Json.member "certify_violation" json with

@@ -65,15 +65,13 @@ let termination =
    protocol catalog, which check depends on, shares the single definition. *)
 let encode_outcome = Rrfd.Adopt_commit.encode
 
-let decode_outcome = Rrfd.Adopt_commit.decode
-
-let pp_encoded_outcome = Rrfd.Adopt_commit.pp_encoded
-
 let adopt_commit_coherence =
   make ~name:"adopt-commit"
     ~doc:
       "decisions, decoded as adopt-commit outcomes, satisfy convergence, \
        agreement and validity"
     (fun o ->
-      let outcomes = Array.map (Option.map decode_outcome) o.decisions in
+      let outcomes =
+        Array.map (Option.map Rrfd.Adopt_commit.decode) o.decisions
+      in
       Rrfd.Adopt_commit.check_outcomes ~inputs:o.inputs outcomes)

@@ -65,8 +65,3 @@ val adopt_commit_coherence : t
 
 val encode_outcome : int Rrfd.Adopt_commit.outcome -> int
 (** [Commit v ↦ 2v], [Adopt v ↦ 2v + 1] — injective for [v ≥ 0]. *)
-
-val decode_outcome : int -> int Rrfd.Adopt_commit.outcome
-
-val pp_encoded_outcome : Format.formatter -> int -> unit
-(** Renders an encoded outcome as [commit v] / [adopt v]. *)

@@ -108,7 +108,7 @@ let sut_names = String.concat ", " Protocols.Catalog.names
 
 let sut spec =
   match Protocols.Catalog.find spec with
-  | Some p -> Ok (Sut.of_protocol p)
+  | Some p -> Ok p
   | None ->
     Error (Printf.sprintf "unknown sut %S, expected one of: %s" spec sut_names)
 
@@ -136,7 +136,4 @@ let adversary_names = Msgnet.Adversary.spec_names
 
 let adversary spec = Msgnet.Adversary.of_spec spec
 
-let default_properties s =
-  match Protocols.Catalog.find (Sut.name s) with
-  | Some p -> Protocols.Catalog.properties p
-  | None -> [ "termination"; "validity"; "agreement" ]
+let default_properties = Protocols.Catalog.properties

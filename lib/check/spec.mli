@@ -30,8 +30,7 @@ val generator :
 
 val sut : string -> (Sut.t, string) result
 (** Any {!Protocols.Catalog} name ([kset-one-round], [consensus],
-    [adopt-commit], [phased-consensus], …) — SUTs are derived from the
-    catalog via {!Sut.of_protocol}. *)
+    [adopt-commit], [phased-consensus], …) — a SUT is a catalog entry. *)
 
 val property : string -> (Property.t, string) result
 (** [agreement], [k-agreement:k=_], [validity], [termination],
@@ -44,9 +43,8 @@ val adversary : string -> (Msgnet.Adversary.t, string) result
     as percentages.  Delegates to {!Msgnet.Adversary.of_spec}. *)
 
 val default_properties : Sut.t -> string list
-(** The property specs the CLI checks when none are given: the full
-    adopt-commit specification for the adopt-commit SUT, and
-    termination + validity + agreement otherwise. *)
+(** The property specs the CLI checks when none are given: the catalog
+    entry's {!Protocols.Catalog.properties}. *)
 
 val predicate_names : string
 (** Comma-separated vocabulary, for [--help] and error messages. *)

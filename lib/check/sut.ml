@@ -1,98 +1,28 @@
-type t = {
-  name : string;
-  rounds : int;
-  pp_out : Format.formatter -> int -> unit;
-  run_fn :
-    n:int ->
-    max_rounds:int ->
-    check:Rrfd.Predicate.t ->
-    detector:Rrfd.Detector.t ->
-    Property.obs;
-  transcript_fn :
-    n:int ->
-    max_rounds:int ->
-    check:Rrfd.Predicate.t ->
-    detector:Rrfd.Detector.t ->
-    string;
-  network_fn :
-    n:int ->
-    f:int ->
-    seed:int ->
-    adversary:Msgnet.Adversary.t ->
-    Property.obs;
-}
+type t = Protocols.Catalog.t
 
-let name sut = sut.name
+module Catalog = Protocols.Catalog
 
-let rounds sut = sut.rounds
+(* The checker's n varies (shrinking merges processes away) but the
+   protocol's horizon is fixed at its catalog defaults. *)
+let rounds p =
+  let n = Catalog.default_n p in
+  Catalog.horizon p ~n ~f:(Catalog.default_f p ~n)
 
-let pp_out sut = sut.pp_out
-
-let default_inputs ~n = Tasks.Inputs.distinct n
-
-let obs_of_outcome ~n ~inputs (outcome : int Rrfd.Engine.outcome) =
+let run p ~n ~max_rounds ~check ~detector =
+  let inputs = Catalog.default_inputs ~n in
+  let ex =
+    Catalog.run_engine p ~inputs ~check ~max_rounds ~n
+      ~f:(Catalog.default_f p ~n) ~detector ()
+  in
   {
     Property.n;
     inputs;
-    decisions = outcome.Rrfd.Engine.decisions;
-    decision_rounds = outcome.Rrfd.Engine.decision_rounds;
-    rounds_used = outcome.Rrfd.Engine.rounds_used;
-    history = outcome.Rrfd.Engine.history;
-    violation = outcome.Rrfd.Engine.violation;
+    decisions = ex.decisions;
+    decision_rounds = ex.decision_rounds;
+    rounds_used = ex.rounds_used;
+    history = ex.induced;
+    violation = ex.violation;
   }
-
-let make ~name ~rounds ~pp_msg ?(pp_out = Format.pp_print_int) algo =
-  {
-    name;
-    rounds;
-    pp_out;
-    run_fn =
-      (fun ~n ~max_rounds ~check ~detector ->
-        let inputs = default_inputs ~n in
-        let outcome =
-          Rrfd.Engine.run ~n ~max_rounds ~check ~algorithm:(algo ~inputs)
-            ~detector ()
-        in
-        obs_of_outcome ~n ~inputs outcome);
-    transcript_fn =
-      (fun ~n ~max_rounds ~check ~detector ->
-        let inputs = default_inputs ~n in
-        let trace =
-          Rrfd.Trace.record ~n ~max_rounds ~check ~pp_msg
-            ~algorithm:(algo ~inputs) ~detector ()
-        in
-        Format.asprintf "@[<v>%a@]" (Rrfd.Trace.pp pp_out) trace);
-    network_fn =
-      (fun ~n ~f ~seed ~adversary ->
-        let inputs = default_inputs ~n in
-        let r : int Msgnet.Round_layer.result =
-          Msgnet.Round_layer.run ~seed ~adversary ~n ~f ~rounds
-            ~algorithm:(algo ~inputs) ()
-        in
-        {
-          Property.n;
-          inputs;
-          decisions = r.decisions;
-          (* A process that decided did so at its last completed round:
-             the round layer's decisions are read off final states. *)
-          decision_rounds =
-            Array.init n (fun i ->
-                match r.decisions.(i) with
-                | None -> None
-                | Some _ -> Some (max 1 r.completed.(i)));
-          rounds_used = Rrfd.Fault_history.rounds r.induced;
-          history = r.induced;
-          violation =
-            Rrfd.Predicate.explain (Rrfd.Predicate.async_resilient ~f)
-              r.induced;
-        });
-  }
-
-let run sut ~n ~max_rounds ~check ~detector =
-  sut.run_fn ~n ~max_rounds ~check ~detector
-
-let run_network sut ~n ~f ~seed ~adversary =
-  sut.network_fn ~n ~f ~seed ~adversary
 
 (* Replay a pinned history, padded with failure-free rounds up to the
    protocol's horizon.  Without the padding, shrinking away a round of a
@@ -101,87 +31,20 @@ let run_network sut ~n ~f ~seed ~adversary =
    "the adversary goes quiet", and the online predicate check rejects
    paddings the model forbids (e.g. crash-closure never lets the adversary
    unsuspect anyone). *)
-let pinned_detector ~n ~sut_rounds history =
-  let pinned = Rrfd.Fault_history.rounds history in
-  let schedule =
-    List.init pinned (fun r ->
-        Rrfd.Fault_history.round_sets history ~round:(r + 1))
-  in
-  let after = Array.make n Rrfd.Pset.empty in
-  (Rrfd.Detector.of_schedule ~after schedule, max pinned sut_rounds)
+let padded p history =
+  ( Rrfd.Detector.of_history history,
+    max (Rrfd.Fault_history.rounds history) (rounds p) )
 
-let run_history sut ~check history =
+let run_history p ~check history =
+  let detector, max_rounds = padded p history in
+  run p ~n:(Rrfd.Fault_history.n history) ~max_rounds ~check ~detector
+
+let transcript p ~check history =
   let n = Rrfd.Fault_history.n history in
-  let detector, max_rounds = pinned_detector ~n ~sut_rounds:sut.rounds history in
-  sut.run_fn ~n ~max_rounds ~check ~detector
+  let detector, max_rounds = padded p history in
+  Catalog.transcript p ~check ~n ~f:(Catalog.default_f p ~n) ~max_rounds
+    ~detector ()
 
-let transcript sut ~check history =
-  let n = Rrfd.Fault_history.n history in
-  let detector, max_rounds = pinned_detector ~n ~sut_rounds:sut.rounds history in
-  sut.transcript_fn ~n ~max_rounds ~check ~detector
+let kset_one_round = Catalog.find_exn "kset-one-round"
 
-(* Derivation from the protocol catalog: the single definition site for
-   algorithms.  The closures reproduce [make]'s observations exactly — the
-   engine path is the same [Rrfd.Engine.run] call, and the network path
-   reads decision rounds off the completion record the same way. *)
-let of_protocol p =
-  let obs_of_execution ~n ~inputs (ex : int Rrfd.Substrate.execution) =
-    {
-      Property.n;
-      inputs;
-      decisions = ex.Rrfd.Substrate.decisions;
-      decision_rounds = ex.Rrfd.Substrate.decision_rounds;
-      rounds_used = ex.Rrfd.Substrate.rounds_used;
-      history = ex.Rrfd.Substrate.induced;
-      violation = ex.Rrfd.Substrate.violation;
-    }
-  in
-  let default_n = Protocols.Catalog.default_n p in
-  {
-    name = Protocols.Catalog.name p;
-    rounds =
-      Protocols.Catalog.horizon p ~n:default_n
-        ~f:(Protocols.Catalog.default_f p ~n:default_n);
-    pp_out = Protocols.Catalog.pp_out p;
-    run_fn =
-      (fun ~n ~max_rounds ~check ~detector ->
-        let inputs = default_inputs ~n in
-        let ex =
-          Protocols.Catalog.run_engine p ~inputs ~check ~max_rounds ~n
-            ~f:(Protocols.Catalog.default_f p ~n) ~detector ()
-        in
-        obs_of_execution ~n ~inputs ex);
-    transcript_fn =
-      (fun ~n ~max_rounds ~check ~detector ->
-        Protocols.Catalog.transcript p ~check ~n
-          ~f:(Protocols.Catalog.default_f p ~n) ~max_rounds ~detector ());
-    network_fn =
-      (fun ~n ~f ~seed ~adversary ->
-        let inputs = default_inputs ~n in
-        let ex =
-          Protocols.Catalog.run_msgnet p ~inputs ~adversary ~seed ~n ~f
-            ~rounds:
-              (Protocols.Catalog.horizon p ~n:default_n
-                 ~f:(Protocols.Catalog.default_f p ~n:default_n))
-            ()
-        in
-        {
-          (obs_of_execution ~n ~inputs ex) with
-          (* A process that decided did so at its last completed round:
-             the round layer's decisions are read off final states. *)
-          Property.decision_rounds =
-            Array.init n (fun i ->
-                match ex.Rrfd.Substrate.decisions.(i) with
-                | None -> None
-                | Some _ -> Some (max 1 ex.Rrfd.Substrate.completed.(i)));
-          violation =
-            Rrfd.Predicate.explain (Rrfd.Predicate.async_resilient ~f)
-              ex.Rrfd.Substrate.induced;
-        });
-  }
-
-let kset_one_round = of_protocol (Protocols.Catalog.find_exn "kset-one-round")
-
-let consensus = of_protocol (Protocols.Catalog.find_exn "consensus")
-
-let adopt_commit = of_protocol (Protocols.Catalog.find_exn "adopt-commit")
+let adopt_commit = Catalog.find_exn "adopt-commit"

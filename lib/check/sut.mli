@@ -1,40 +1,19 @@
-(** Systems under test: an algorithm packaged for the model checker.
+(** Systems under test: the model checker's view of a protocol-catalog
+    entry.
 
-    A SUT hides the algorithm's state and message types behind two closures
-    — one producing a {!Property.obs} through {!Rrfd.Engine.run}, one
-    rendering a full {!Rrfd.Trace} transcript — so the checker can drive any
-    of the repo's protocols uniformly.  Inputs are always
-    [Tasks.Inputs.distinct n] (every process proposes its own id, the
-    hardest case for agreement), which keeps counterexamples meaningful
-    after the shrinker merges processes away. *)
+    A SUT {e is} a {!Protocols.Catalog.t} — the catalog is the single
+    definition site for algorithms — and this module adds the checker's
+    two ways to run one: an observed engine execution under a detector,
+    and the replay of a pinned fault history.  Inputs are always
+    [Protocols.Catalog.default_inputs n] (every process proposes its own
+    id, the hardest case for agreement), which keeps counterexamples
+    meaningful after the shrinker merges processes away. *)
 
-type t
-
-val name : t -> string
+type t = Protocols.Catalog.t
 
 val rounds : t -> int
-(** Rounds the protocol needs to terminate — the default history length the
-    fuzzer draws. *)
-
-val make :
-  name:string ->
-  rounds:int ->
-  pp_msg:(Format.formatter -> 'm -> unit) ->
-  ?pp_out:(Format.formatter -> int -> unit) ->
-  (inputs:int array -> ('s, 'm, int) Rrfd.Algorithm.t) ->
-  t
-(** [make ~name ~rounds ~pp_msg algo] packages [algo].  [pp_out] renders
-    decisions in transcripts (default: plain int). *)
-
-val of_protocol : Protocols.Catalog.t -> t
-(** Derive a SUT from a protocol-catalog entry — name, horizon (at the
-    entry's default [n]/[f]) and printers come from the catalog, the run
-    closures drive the catalog's engine/network runners.  This is how
-    every stock SUT is defined; the catalog is the single definition site
-    for algorithms. *)
-
-val default_inputs : n:int -> int array
-(** [Tasks.Inputs.distinct n]. *)
+(** Rounds the protocol needs to terminate (its horizon at the entry's
+    default [n]/[f]) — the default history length the fuzzer draws. *)
 
 val run :
   t ->
@@ -48,30 +27,15 @@ val run :
     detector straying outside its predicate is reported in
     [obs.violation]. *)
 
-val run_network :
-  t ->
-  n:int ->
-  f:int ->
-  seed:int ->
-  adversary:Msgnet.Adversary.t ->
-  Property.obs
-(** One execution over the fault-injected asynchronous network
-    ({!Msgnet.Round_layer} with [adversary]) instead of the abstract
-    engine, observed through the extracted heard-of history — so the same
-    {!Property} vocabulary judges network runs.  [obs.violation] reports
-    any breach of the layer's own guarantee, [async:f] (P3). *)
-
 val run_history :
   t -> check:Rrfd.Predicate.t -> Rrfd.Fault_history.t -> Property.obs
-(** Replay a pinned fault history ({!Rrfd.Detector.of_schedule}).  A
+(** Replay a pinned fault history ({!Rrfd.Detector.of_history}).  A
     history shorter than the SUT's horizon is padded with failure-free
     rounds up to {!rounds} — so shrinking a round away means "the adversary
     goes quiet", never "the protocol is starved of rounds" — and the
     engine's online check rejects paddings the predicate forbids.
     Deterministic: equal histories produce equal observations, which is
     what makes counterexample replay and shrinking sound. *)
-
-val pp_out : t -> Format.formatter -> int -> unit
 
 val transcript :
   t -> check:Rrfd.Predicate.t -> Rrfd.Fault_history.t -> string
@@ -82,9 +46,6 @@ val transcript :
 
 val kset_one_round : t
 (** Theorem 3.1's one-round algorithm ({!Rrfd.Kset.one_round}). *)
-
-val consensus : t
-(** The same algorithm run for consensus ({!Rrfd.Kset.consensus}). *)
 
 val adopt_commit : t
 (** The two-round adopt-commit protocol ({!Rrfd.Adopt_commit.algorithm}),

@@ -2,11 +2,11 @@
 
     The bench/report layer wants tables to say how much work a run did, not
     just whether it passed, so the {!Engine} counts the cheap-to-count
-    events of the round loop and surfaces them in the outcome.  All
+    events of the round loop and surfaces them in the execution.  All
     counters are exact (no sampling):
 
     - [rounds]: rounds actually executed (equals
-      [outcome.rounds_used] unless a predicate violation stopped the run);
+      [execution.rounds_used] unless a predicate violation stopped the run);
     - [messages]: round messages delivered — per process and round, the
       processes {e outside} its fault set, i.e. [Σ_{i,r} (n − |D(i,r)|)];
     - [detector_queries]: calls to {!Detector.next} (one per round);

@@ -26,6 +26,12 @@ let of_schedule ?after rounds =
       let r = Fault_history.rounds h in
       if r < Array.length table then table.(r) else fallback h)
 
+let of_history history =
+  of_schedule
+    ~after:(Array.make (Fault_history.n history) Pset.empty)
+    (List.init (Fault_history.rounds history) (fun r ->
+         Fault_history.round_sets history ~round:(r + 1)))
+
 let constant ~n:_ d = make ~name:"constant" (fun _ -> d)
 
 let map ~name f d = make ~name (fun h -> f h (d.next h))

@@ -34,6 +34,13 @@ val of_schedule : ?after:Pset.t array -> Pset.t array list -> t
     (default: the last scheduled round, or all-empty if the schedule is
     empty).  Array lengths must match the engine's [n]. *)
 
+val of_history : Fault_history.t -> t
+(** [of_history h] pins [h]: it replays [h]'s rounds, first round first,
+    then answers failure-free ([D(i,r) = ∅]) forever.  This is the one
+    pinned-replay detector — {!Engine.differential} runs it for exactly
+    [Fault_history.rounds h] rounds, and the model checker pads it with
+    failure-free rounds up to a protocol's horizon. *)
+
 val constant : n:int -> Pset.t array -> t
 (** [constant ~n d] returns the same fault sets every round. *)
 

@@ -1,12 +1,3 @@
-type 'out outcome = {
-  decisions : 'out option array;
-  decision_rounds : int option array;
-  rounds_used : int;
-  history : Fault_history.t;
-  violation : string option;
-  counters : Counters.t;
-}
-
 (* Per-round detector validation against the hoisted universe set: subset
    and D ≠ S per process, allocation-free ([subset]/[equal] on the
    immediate representation touch no heap). *)
@@ -122,49 +113,56 @@ let exec ~n ~max_rounds ?check ~stop_when_decided ~algorithm ~detector () =
   in
   ( states,
     {
+      Substrate.substrate = "engine";
       decisions;
       decision_rounds;
       rounds_used;
-      history;
-      violation = !violation;
+      induced = history;
       counters;
+      violation = !violation;
+      crashed = Pset.empty;
+      completed = Array.make n rounds_used;
+      wall_ns = None;
     } )
 
 let run ~n ?(max_rounds = 64) ?check ?(stop_when_decided = true) ~algorithm
     ~detector () =
   snd (exec ~n ~max_rounds ?check ~stop_when_decided ~algorithm ~detector ())
 
-module As_substrate = struct
-  type config = {
-    detector : Detector.t;
-    check : Predicate.t option;
-    stop_when_decided : bool;
-  }
-
-  let name = "engine"
-
-  let execute config ~n ~rounds ~algorithm =
-    let outcome =
-      run ~n ~max_rounds:rounds ?check:config.check
-        ~stop_when_decided:config.stop_when_decided ~algorithm
-        ~detector:config.detector ()
-    in
-    {
-      Substrate.substrate = name;
-      decisions = outcome.decisions;
-      decision_rounds = outcome.decision_rounds;
-      rounds_used = outcome.rounds_used;
-      induced = outcome.history;
-      counters = outcome.counters;
-      violation = outcome.violation;
-      crashed = Pset.empty;
-      completed = Array.make n outcome.rounds_used;
-      wall_ns = None;
-    }
-end
-
 let states_after ~n ~rounds ~algorithm ~detector () =
-  let states, outcome =
+  let states, ex =
     exec ~n ~max_rounds:rounds ~stop_when_decided:false ~algorithm ~detector ()
   in
-  (states, outcome.history)
+  (states, ex.Substrate.induced)
+
+type 'out differential = {
+  replayed : 'out Substrate.execution;
+  divergence : Proc.t option;
+}
+
+(* The pinned replay: exactly the history's rounds, no early stop, so the
+   replay's induced history is the input history bit-for-bit.  Decisions
+   are compared against [decide] of the final states, which is the first
+   decision for irrevocable algorithms and what the asynchronous round
+   layer reports for any algorithm. *)
+let differential ?(equal = Stdlib.( = )) ~algorithm
+    (ex : _ Substrate.execution) =
+  let history = ex.induced in
+  let n = Fault_history.n history in
+  let states, replayed =
+    exec ~n ~max_rounds:(Fault_history.rounds history)
+      ~stop_when_decided:false ~algorithm
+      ~detector:(Detector.of_history history) ()
+  in
+  let agrees i =
+    match (ex.decisions.(i), algorithm.Algorithm.decide states.(i)) with
+    | None, None -> true
+    | Some x, Some y -> equal x y
+    | _ -> false
+  in
+  let divergence =
+    List.find_opt
+      (fun i -> Substrate.comparable ex i && not (agrees i))
+      (List.init n Fun.id)
+  in
+  { replayed; divergence }

@@ -44,5 +44,5 @@ val identical_views : n:int -> t
 
 val all : n:int -> f:int -> t list
 (** Every model above at its canonical parameters (with [t = f] for the
-    mixed model, [k = f + 1] for the k-set detector), used by the
-    submodel-lattice experiment. *)
+    mixed model, [k = f + 1] for the k-set detector), which the model
+    tests walk to check every generator against its predicate. *)

@@ -48,14 +48,8 @@ val async_rounds : sync_rounds:int -> int
 
 val sync_rounds_completed : ('s, 'm) state -> int
 
-val sync_state : ('s, 'm) state -> 's
-(** The simulated process's synchronous state. *)
-
 val self_crashed : ('s, 'm) state -> bool
 (** Whether this process committed itself faulty at some simulated round. *)
-
-val proposed_crashed : ('s, 'm) state -> Pset.t
-(** The process's current [F_i]. *)
 
 val missing_witnesses : ('s, 'm) state -> int
 (** Number of adopt-faulty resolutions for which no alive value was

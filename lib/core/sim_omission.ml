@@ -3,19 +3,19 @@ let budget ~f ~k =
   f / k
 
 type 'out result = {
-  outcome : 'out Engine.outcome;
+  execution : 'out Substrate.execution;
   omission_violation : string option;
 }
 
 let simulate ~n ~f ~k ~algorithm ~detector () =
   let rounds = budget ~f ~k in
-  let outcome =
+  let execution =
     Engine.run ~n ~max_rounds:rounds ~check:(Predicate.snapshot ~f:k)
       ~stop_when_decided:false ~algorithm ~detector ()
   in
   let omission_violation =
-    match outcome.Engine.violation with
+    match execution.Substrate.violation with
     | Some v -> Some ("asynchronous side broke its own predicate: " ^ v)
-    | None -> Predicate.explain (Predicate.omission ~f) outcome.Engine.history
+    | None -> Predicate.explain (Predicate.omission ~f) execution.induced
   in
-  { outcome; omission_violation }
+  { execution; omission_violation }

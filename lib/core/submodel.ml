@@ -42,11 +42,6 @@ let check_sampled rng ~samples ~rounds ~gen ~n a b =
     Implies
   with Found h -> Counterexample h
 
-let pp_verdict ppf = function
-  | Implies -> Format.pp_print_string ppf "implies"
-  | Counterexample h ->
-    Format.fprintf ppf "counterexample:@ %a" Fault_history.pp h
-
 (* ------------------------------------------------------------------ *)
 (* Named-predicate lattice over one shared enumeration.                *)
 (* ------------------------------------------------------------------ *)
@@ -115,8 +110,6 @@ let lattice ~n ~rounds named =
   in
   explore (Fault_history.empty ~n) 0;
   { l_n = n; l_rounds = rounds; l_names = names; l_sat = sat; l_total = total }
-
-let lattice_size l = l.l_total
 
 let lattice_names l = Array.to_list l.l_names
 

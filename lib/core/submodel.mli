@@ -33,8 +33,6 @@ val check_sampled :
     that do not satisfy [a] (a generator bug), and reports any that violate
     [b]. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 (** {1 The named-predicate lattice}
 
     Answering many order queries over the same predicate vocabulary with
@@ -54,12 +52,6 @@ val lattice : n:int -> rounds:int -> (string * Predicate.t) list -> lattice
     round fault set ranging over all proper subsets, the empty history
     included).  Names are the query keys and must be distinct.
     @raise Invalid_argument on an empty or duplicate-named vocabulary. *)
-
-val lattice_size : lattice -> int
-(** Number of histories enumerated ([Σ_{d≤rounds} ((2^n − 1)^n)^d]). *)
-
-val lattice_names : lattice -> string list
-(** The vocabulary, in construction order. *)
 
 val mem : lattice -> string -> bool
 

@@ -11,15 +11,4 @@ type 'out execution = {
   wall_ns : int64 option;
 }
 
-module type S = sig
-  type config
-
-  val name : string
-
-  val execute :
-    config ->
-    n:int ->
-    rounds:int ->
-    algorithm:('s, 'm, 'out) Algorithm.t ->
-    'out execution
-end
+let comparable ex i = ex.completed.(i) = Fault_history.rounds ex.induced

@@ -10,23 +10,24 @@
     of them is a {e substrate}: something that drives an {!Algorithm} and
     yields the same uniform observation, an {!execution}.
 
-    A substrate implements {!S}: a name, a substrate-specific [config]
-    (the detector, the fault pattern, the network adversary, the patience
-    policy …) and an [execute] function polymorphic in the algorithm's
-    state, message and output types.  Everything downstream — the
-    protocol catalog, the cross-substrate differential matrix (E22), the
-    live-vs-model matrix (E23), the model checker's SUTs, the experiment
-    tables — consumes executions and never needs to know which substrate
-    produced them.  This is the executable form of the
-    "communication-closed" correspondence (Damian et al.) and the
-    heard-of characterisation (Shimi et al.): whatever the wall clock did,
-    the observable content of a run is its decisions plus the fault
-    history it induced. *)
+    Every substrate's [run] returns an {!execution}, and everything
+    downstream — the protocol catalog, the cross-substrate differential
+    matrix (E22), the live-vs-model matrix (E23), the model checker's
+    SUTs, the experiment tables — consumes executions and never needs to
+    know which substrate produced them.  The one oracle over them is
+    {!Engine.differential}: replay the induced history pinned on the
+    engine and compare decisions on the {!comparable} processes.  This is
+    the executable form of the "communication-closed" correspondence
+    (Damian et al.) and the heard-of characterisation (Shimi et al.):
+    whatever the wall clock did, the observable content of a run is its
+    decisions plus the fault history it induced. *)
 
 type 'out execution = {
   substrate : string;  (** Name of the substrate that ran the algorithm. *)
   decisions : 'out option array;
-      (** First decision of each process ([None] if it never decided). *)
+      (** First decision of each process ([None] if it never decided).
+          The asynchronous round layer has no global round clock and
+          reads decisions off the final states instead. *)
   decision_rounds : int option array;
       (** Round at which each process first decided, when the substrate
           tracks it.  The asynchronous round layer reports the last
@@ -48,14 +49,14 @@ type 'out execution = {
           predicate checks.  See {!Counters}. *)
   violation : string option;
       (** Earliest violation of the optional online predicate check, when
-          the substrate's config requested one. *)
+          the run requested one. *)
   crashed : Pset.t;
       (** Processes the substrate actually crashed ([Pset.empty] for the
           abstract engine, whose processes all keep executing). *)
   completed : int array;
-      (** Rounds each process completed.  Lock-step substrates complete
-          the same number everywhere; the asynchronous layer may leave
-          slow processes behind. *)
+      (** Rounds each process completed.  The asynchronous layer may
+          leave slow processes behind; a crashed process completed the
+          rounds before it stopped. *)
   wall_ns : int64 option;
       (** Real elapsed wall-clock time of the run in nanoseconds.
           [Some _] only on substrates whose nondeterminism comes from an
@@ -64,24 +65,14 @@ type 'out execution = {
           depend on the wall clock. *)
 }
 
-module type S = sig
-  type config
-  (** Everything the substrate needs besides the algorithm: the
-      detector/check for the engine, the fault pattern for the
-      synchronous network, the seed/adversary/crash schedule for the
-      asynchronous one, the resilience/patience policy for the live
-      one. *)
-
-  val name : string
-
-  val execute :
-    config ->
-    n:int ->
-    rounds:int ->
-    algorithm:('s, 'm, 'out) Algorithm.t ->
-    'out execution
-  (** Drive [algorithm] for up to [rounds] rounds over [n] processes.
-      Implementations preserve their substrate's native semantics (early
-      stop on decision, crash schedules, repair protocols, patience
-      deadlines …); the record is the common observable. *)
-end
+val comparable : 'out execution -> Proc.t -> bool
+(** [comparable ex i] holds when a pinned replay of [ex.induced] must
+    reproduce [i]'s decision: [i] completed every round of the induced
+    history, whether or not it crashed afterwards.  On the engine and the
+    live substrate that is every process; on the synchronous network
+    every process the pattern did not crash before the last round (a
+    process that stops mid-protocol may not have decided yet, while the
+    RRFD reading keeps executing it); on the asynchronous layer every
+    process that completed the longest extracted prefix, including one
+    that crashed after it.  {!Engine.differential} is the oracle that
+    applies it. *)

@@ -8,18 +8,18 @@ type 'out round = {
 type 'out t = {
   n : int;
   rounds : 'out round list;
-  outcome : 'out Engine.outcome;
+  execution : 'out Substrate.execution;
 }
 
-(* Run the engine for the outcome, then replay the execution from the
+(* Run the engine for the execution, then replay the execution from the
    recorded fault history to render each round's emissions — algorithms
    are deterministic, so the replay reproduces the run exactly. *)
 let record ~n ?max_rounds ?check ?stop_when_decided ~pp_msg ~algorithm
     ~detector () =
-  let outcome =
+  let execution =
     Engine.run ~n ?max_rounds ?check ?stop_when_decided ~algorithm ~detector ()
   in
-  let history = outcome.Engine.history in
+  let history = execution.Substrate.induced in
   let states = Array.init n (fun i -> algorithm.Algorithm.init ~n i) in
   let decided = Array.make n false in
   let view = View.create ~n in
@@ -45,7 +45,7 @@ let record ~n ?max_rounds ?check ?stop_when_decided ~pp_msg ~algorithm
       { number = round; emissions; fault_sets; new_decisions = !new_decisions }
       :: !rounds
   done;
-  { n; rounds = List.rev !rounds; outcome }
+  { n; rounds = List.rev !rounds; execution }
 
 let pp pp_out ppf t =
   List.iter

@@ -1,6 +1,6 @@
 (** Readable execution transcripts.
 
-    The engine's {!Engine.outcome} carries the fault history and decisions;
+    The engine's {!Substrate.execution} carries the fault history and decisions;
     this module runs an algorithm while also recording what every process
     emitted and decided each round, and renders the transcript — the
     debugging view for algorithm authors and the pretty output used by the
@@ -17,7 +17,7 @@ type 'out round = {
 type 'out t = {
   n : int;
   rounds : 'out round list;  (** First round first. *)
-  outcome : 'out Engine.outcome;
+  execution : 'out Substrate.execution;
 }
 
 val record :

@@ -22,15 +22,12 @@ let run ?(seed = 1) ?(trials = 200) () =
                 Rrfd.Predicate.omission ~f )
           in
           let inputs = Tasks.Inputs.distinct n in
-          let result =
+          let ex =
             Syncnet.Sync_net.run ~n ~rounds ~pattern ~stop_when_decided:false
               ~algorithm:(Rrfd.Full_info.algorithm ~inputs)
               ()
           in
-          if
-            not
-              (Rrfd.Predicate.holds predicate result.Syncnet.Sync_net.induced)
-          then incr bad
+          if not (Rrfd.Predicate.holds predicate ex.induced) then incr bad
         done;
         !bad
       in

@@ -17,24 +17,19 @@ let run ?(seed = 2) ?(trials = 100) () =
           |> List.map (fun p -> (p, Dsim.Rng.float trial_rng 40.0))
         in
         let inputs = Tasks.Inputs.distinct n in
-        let result =
-          Msgnet.Round_layer.run ~seed:(seed + t) ~crashes ~n ~f ~rounds:4
-            ~algorithm:(Rrfd.Full_info.algorithm ~inputs)
-            ()
+        let ex =
+          (Msgnet.Round_layer.run ~seed:(seed + t) ~crashes ~n ~f ~rounds:4
+             ~algorithm:(Rrfd.Full_info.algorithm ~inputs)
+             ())
+            .execution
         in
-        if
-          not
-            (Rrfd.Predicate.holds
-               (Rrfd.Predicate.async_resilient ~f)
-               result.Msgnet.Round_layer.induced)
-        then incr p3_bad;
+        let p3 = Rrfd.Predicate.async_resilient ~f in
+        if not (Rrfd.Predicate.holds p3 ex.induced) then incr p3_bad;
         Array.iteri
           (fun i completed ->
-            if
-              (not (Rrfd.Pset.mem i result.Msgnet.Round_layer.crashed))
-              && completed < 4
-            then incr stalled)
-          result.Msgnet.Round_layer.completed
+            if (not (Rrfd.Pset.mem i ex.crashed)) && completed < 4 then
+              incr stalled)
+          ex.completed
       done;
       rows :=
         [

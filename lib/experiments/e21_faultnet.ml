@@ -81,13 +81,13 @@ let run_trial ~adversary ~n ~f ~rounds ~rng =
   let s_hb = Dsim.Rng.bits30 rng in
   let s_ct = Dsim.Rng.bits30 rng in
   let s_abd = Dsim.Rng.bits30 rng in
-  let d =
-    Msgnet.Round_layer.differential ~seed:s_rl ~adversary
-      ~equal:Rrfd.Full_info.equal ~n ~f ~rounds
-      ~algorithm:(Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n))
-      ()
+  let algorithm = Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n) in
+  let ex =
+    (Msgnet.Round_layer.run ~seed:s_rl ~adversary ~n ~f ~rounds ~algorithm ())
+      .execution
   in
-  let induced = d.Msgnet.Round_layer.outcome.Msgnet.Round_layer.induced in
+  let d = Rrfd.Engine.differential ~equal:Rrfd.Full_info.equal ~algorithm ex in
+  let induced = ex.induced in
   let ct =
     Msgnet.Ct_consensus.run ~seed:s_ct ~adversary ~n ~f
       ~inputs:(Array.init n (fun i -> i mod 3))
@@ -109,8 +109,8 @@ let run_trial ~adversary ~n ~f ~rounds ~rng =
   {
     compact = Rrfd.Fault_history.to_string_compact induced;
     held = Msgnet.Heard_of.classify ~f induced;
-    matched = d.Msgnet.Round_layer.matched;
-    all_completed = d.Msgnet.Round_layer.all_completed;
+    matched = d.divergence = None;
+    all_completed = Array.for_all (fun c -> c = rounds) ex.completed;
     hb_suspicions = heartbeat_suspicions ~seed:s_hb ~adversary ~n;
     ct_safe;
     ct_undecided = ct_undecided;
@@ -118,8 +118,7 @@ let run_trial ~adversary ~n ~f ~rounds ~rng =
     counters =
       {
         Rrfd.Counters.rounds = Rrfd.Fault_history.rounds induced;
-        messages =
-          d.Msgnet.Round_layer.outcome.Msgnet.Round_layer.messages_delivered;
+        messages = ex.counters.messages;
         detector_queries = 0;
         predicate_checks = List.length (Msgnet.Heard_of.paper_predicates ~f);
       };

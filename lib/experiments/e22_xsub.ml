@@ -5,8 +5,8 @@
    lock-step synchronous network, event-driven asynchronous network) under
    equivalent fault policies; each run's induced fault history is replayed
    pinned on the abstract engine, and the decisions and the P1–P5
-   classification of the history must agree bit-for-bit.  This generalises
-   Round_layer.differential from one ad-hoc algorithm to the whole
+   classification of the history must agree bit-for-bit.  This runs the
+   one differential, Rrfd.Engine.differential, over the whole
    catalog × substrate × policy grid.
 
    Trials run as a Runtime.Campaign with per-(cell, trial) RNG derivation,
@@ -36,42 +36,17 @@ let lossy_adversary =
   | Ok a -> a
   | Error e -> invalid_arg ("E22: " ^ e)
 
-(* The comparable set: processes whose substrate execution the pinned
-   replay is expected to reproduce.  The engine reproduces everybody; the
-   synchronous network everybody it did not crash (a crashed process stops
-   mid-protocol, while the RRFD reading keeps executing it); the
-   asynchronous layer everybody that completed the full extracted
-   prefix — exactly Round_layer.differential's rule. *)
-let comparable (ex : int Rrfd.Substrate.execution) =
-  let r_max = Rrfd.Fault_history.rounds ex.Rrfd.Substrate.induced in
-  List.filter
-    (fun i ->
-      match ex.Rrfd.Substrate.substrate with
-      | "engine" -> true
-      | "sync" -> not (Rrfd.Pset.mem i ex.Rrfd.Substrate.crashed)
-      | _ -> ex.Rrfd.Substrate.completed.(i) = r_max)
-    (List.init n Fun.id)
-
 let check_substrate proto ~inputs (ex : int Rrfd.Substrate.execution) =
-  let open Rrfd.Substrate in
-  let replayed =
-    Protocols.Catalog.replay proto ~inputs ~f ~history:ex.induced ()
-  in
-  let decisions_ok =
-    List.for_all
-      (fun i -> ex.decisions.(i) = replayed.decisions.(i))
-      (comparable ex)
-  in
-  let classes_ok =
-    Msgnet.Heard_of.classify ~f ex.induced
-    = Msgnet.Heard_of.classify ~f replayed.induced
-  in
+  let d = Protocols.Catalog.differential proto ~inputs ~f ex in
+  let replayed = d.Rrfd.Engine.replayed.induced in
   ( {
       sub = ex.substrate;
       compact = Rrfd.Fault_history.to_string_compact ex.induced;
-      replay_compact = Rrfd.Fault_history.to_string_compact replayed.induced;
-      decisions_ok;
-      classes_ok;
+      replay_compact = Rrfd.Fault_history.to_string_compact replayed;
+      decisions_ok = d.divergence = None;
+      classes_ok =
+        Msgnet.Heard_of.classify ~f ex.induced
+        = Msgnet.Heard_of.classify ~f replayed;
     },
     ex.counters )
 

@@ -99,6 +99,25 @@ type cell_row = {
   counters : Rrfd.Counters.t array;
 }
 
+(* A recorded run, as the live execution it was: every live process
+   completes the whole horizon and none crashes, so the differential
+   compares every process. *)
+let execution_of r history =
+  let n = Rrfd.Fault_history.n history in
+  let rounds = Rrfd.Fault_history.rounds history in
+  {
+    Rrfd.Substrate.substrate = "live";
+    decisions = r.decisions;
+    decision_rounds = Array.make n None;
+    rounds_used = rounds;
+    induced = history;
+    counters = Rrfd.Counters.of_history history;
+    violation = None;
+    crashed = Rrfd.Pset.empty;
+    completed = Array.make n rounds;
+    wall_ns = Some r.wall_ns;
+  }
+
 (* Everything below is a pure function of the records: replays, predicate
    classification and work counters all derive from the recorded history
    (and inputs), never from a clock or a domain.  [Pool.map_range] keeps
@@ -127,17 +146,16 @@ let cells_of records =
         List.map
           (fun r ->
             let history = Rrfd.Fault_history.of_string_compact r.history in
-            let replayed =
-              Protocols.Catalog.replay proto ~inputs:r.inputs ~f:r.f ~history
-                ()
+            let ex = execution_of r history in
+            let d =
+              Protocols.Catalog.differential proto ~inputs:r.inputs ~f:r.f ex
             in
-            if replayed.Rrfd.Substrate.decisions = r.decisions then
-              incr matched;
+            if d.divergence = None then incr matched;
             List.iter
               (fun (name, holds) ->
                 if holds then incr (List.assoc name satisfied))
               (Msgnet.Heard_of.classify ~f:r.f history);
-            Rrfd.Counters.of_history history)
+            ex.counters)
           mine
       in
       {
@@ -238,22 +256,27 @@ let of_json json =
   Report.unwrap ~kind ~version json;
   List.map
     (fun r ->
+      let history = Json.str (Json.member "history" r) in
+      (* The replay runs over the history's processes: every other size in
+         the record must agree with it. *)
+      let n =
+        match Rrfd.Fault_history.of_string_compact history with
+        | h -> Rrfd.Fault_history.n h
+        | exception Invalid_argument msg -> raise (Json.Error msg)
+      in
       {
-        n = Json.int (Json.member "n" r);
-        f = Json.int (Json.member "f" r);
+        n = Json.int_in ~lo:n ~hi:n "n" r;
+        f = Json.int_in ~lo:0 ~hi:(n - 1) "f" r;
         patience = Json.str (Json.member "patience" r);
         inputs =
-          Array.of_list (List.map Json.int (Json.list (Json.member "inputs" r)));
-        history =
-          (let h = Json.str (Json.member "history" r) in
-           match Rrfd.Fault_history.of_string_compact h with
-           | _ -> h
-           | exception Invalid_argument msg -> raise (Json.Error msg));
+          Json.list (Json.member "inputs" r)
+          |> List.map Json.int |> Array.of_list |> Json.sized ~n "inputs";
+        history;
         decisions =
-          Array.of_list
-            (List.map
-               (function Json.Null -> None | j -> Some (Json.int j))
-               (Json.list (Json.member "decisions" r)));
+          Json.list (Json.member "decisions" r)
+          |> List.map (function Json.Null -> None | j -> Some (Json.int j))
+          |> Array.of_list
+          |> Json.sized ~n "decisions";
         wall_ns =
           (let s = Json.str (Json.member "wall_ns" r) in
            match Int64.of_string_opt s with

@@ -90,7 +90,7 @@ let run_trial row ~adversary ~rng =
       ()
   in
   let members = Msgnet.Adversary.byzantine adversary ~n in
-  let lie_history = Msgnet.Heard_of.to_lie_history rl.Msgnet.Round_layer.heard_of in
+  let lie_history = Msgnet.Heard_of.to_lie_history rl.heard_of in
   let lied_sound =
     (* Every lied-about sender is an adversary-marked member. *)
     Rrfd.Pset.subset
@@ -134,16 +134,15 @@ let run_trial row ~adversary ~rng =
     kernel;
     tampered =
       outcome.Acc.messages_tampered
-      + rl.Msgnet.Round_layer.messages_tampered
+      + rl.messages_tampered
       + ct.Msgnet.Ct_consensus.messages_tampered;
     ct_violated;
     ct_sound;
     ct_undecided;
     counters =
       {
-        Rrfd.Counters.rounds =
-          Rrfd.Fault_history.rounds rl.Msgnet.Round_layer.induced;
-        messages = rl.Msgnet.Round_layer.messages_delivered;
+        Rrfd.Counters.rounds = rl.execution.rounds_used;
+        messages = rl.execution.counters.messages;
         detector_queries = 0;
         predicate_checks = 1;
       };

@@ -141,6 +141,3 @@ let all =
 let find id =
   let target = String.lowercase_ascii id in
   List.find_opt (fun e -> String.lowercase_ascii e.id = target) all
-
-let run_all ?(seed = default_seed) ?jobs () =
-  List.map (fun e -> e.run ~seed ~trials:None ~jobs) all

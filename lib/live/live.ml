@@ -1,15 +1,6 @@
 module Patience = Patience
 module Mailbox = Mailbox
 
-type 'out result = {
-  decisions : 'out option array;
-  decision_rounds : int option array;
-  induced : Rrfd.Fault_history.t;
-  completed : int array;
-  counters : Rrfd.Counters.t;
-  wall_ns : int64;
-}
-
 (* Raised inside a worker when another worker already failed; never
    escapes [run]. *)
 exception Aborted
@@ -150,51 +141,20 @@ let run ?(patience = Patience.Wait_quorum) ~n ~f ~rounds ~algorithm () =
       predicate_checks = 0;
     }
   in
-  { decisions; decision_rounds; induced; completed; counters; wall_ns }
+  {
+    Rrfd.Substrate.substrate = "live";
+    decisions;
+    decision_rounds;
+    rounds_used = rounds;
+    induced;
+    counters;
+    violation = None;
+    crashed = Rrfd.Pset.empty;
+    completed;
+    wall_ns = Some wall_ns;
+  }
 
 let effective_jobs ?jobs ~n_procs () =
   let recommended = Domain.recommended_domain_count () in
   let requested = Option.value jobs ~default:recommended in
   max 1 (min requested (recommended / max 1 n_procs))
-
-module As_substrate = struct
-  type config = { patience : Patience.t; f : int }
-
-  let name = "live"
-
-  let execute { patience; f } ~n ~rounds ~algorithm =
-    let r = run ~patience ~n ~f ~rounds ~algorithm () in
-    {
-      Rrfd.Substrate.substrate = name;
-      decisions = r.decisions;
-      decision_rounds = r.decision_rounds;
-      rounds_used = rounds;
-      induced = r.induced;
-      counters = r.counters;
-      violation = None;
-      crashed = Rrfd.Pset.empty;
-      completed = r.completed;
-      wall_ns = Some r.wall_ns;
-    }
-end
-
-type 'out differential = {
-  outcome : 'out result;
-  replayed : 'out option array;
-  matched : bool;
-}
-
-let differential ?patience ?(equal = Stdlib.( = )) ~n ~f ~rounds ~algorithm () =
-  let outcome = run ?patience ~n ~f ~rounds ~algorithm () in
-  let replayed = Msgnet.Heard_of.replay_decisions ~algorithm outcome.induced in
-  let opt_equal a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> equal x y
-    | _ -> false
-  in
-  let matched = ref true in
-  Array.iteri
-    (fun i d -> if not (opt_equal d replayed.(i)) then matched := false)
-    outcome.decisions;
-  { outcome; replayed; matched = !matched }

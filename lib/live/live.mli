@@ -9,8 +9,8 @@
     asynchrony are {e observed}, and the per-round heard-from records are
     collected into exactly the paper's fault history [{D(i,r)}]
     ({!Msgnet.Heard_of}), which the abstract engine can replay pinned
-    ({!differential}) — the communication-closed reduction (Damian et
-    al.) run in the forward direction, validating the model against
+    ({!Rrfd.Engine.differential}) — the communication-closed reduction
+    (Damian et al.) run in the forward direction, validating the model against
     reality instead of against another simulation.
 
     Execution discipline: every process runs the full round horizon (no
@@ -35,25 +35,6 @@ val max_processes : int
     per process and the runtime caps domains at ~128.  Simulated
     substrates scale far wider — see {!Rrfd.Pset.max_universe}. *)
 
-type 'out result = {
-  decisions : 'out option array;
-      (** First decision per process ([None] if it never decided). *)
-  decision_rounds : int option array;
-      (** Round whose delivery first made [decide] answer [Some _]. *)
-  induced : Rrfd.Fault_history.t;
-      (** The extracted heard-of fault history: [D(i,r)] is the
-          complement of what [i] had heard when its patience for round
-          [r] ran out. *)
-  completed : int array;
-      (** Rounds completed per process — always the full horizon. *)
-  counters : Rrfd.Counters.t;
-      (** [messages] counts accepted deliveries (a slot filed into a
-          live round buffer, self included), which equals
-          [Σ_{i,r} (n − |D(i,r)|)] — the engine's vocabulary.  No
-          detector is ever queried. *)
-  wall_ns : int64;  (** Real elapsed wall-clock time of the whole run. *)
-}
-
 val run :
   ?patience:Patience.t ->
   n:int ->
@@ -61,12 +42,25 @@ val run :
   rounds:int ->
   algorithm:('s, 'm, 'out) Rrfd.Algorithm.t ->
   unit ->
-  'out result
+  'out Rrfd.Substrate.execution
 (** Spawn [n − 1] domains (the calling domain runs process 0), drive
     [algorithm] for exactly [rounds] rounds under [patience] (default
     {!Patience.Wait_quorum} with the given [f]) and collect the uniform
     observation.  Re-raises the first exception any process's algorithm
     raised, after every domain has been joined.
+
+    The execution's [substrate] is ["live"].  [induced] is the extracted
+    heard-of history: [D(i,r)] is the complement of what [i] had heard
+    when its patience for round [r] ran out.  [decision_rounds] name the
+    round whose delivery first made [decide] answer [Some _].
+    [rounds_used] is always the requested horizon and every process
+    completes it; [crashed] is empty (live processes never stop early).
+    [counters.messages] counts accepted deliveries (a slot filed into a
+    live round buffer, self included), which equals
+    [Σ_{i,r} (n − |D(i,r)|)]; no detector is ever queried.  [wall_ns] is
+    [Some _] — the only substrate whose executions carry real elapsed
+    time.
+
     @raise Invalid_argument if [n] is outside [1..max_processes],
     [f < 0], [f ≥ n] or [rounds < 0]. *)
 
@@ -76,44 +70,3 @@ val effective_jobs : ?jobs:int -> n_procs:int -> unit -> int
     floored at 1.  Without the cap a live campaign oversubscribes the
     machine quadratically (pool workers × process domains), which both
     distorts deadline-patience runs and slows everything down. *)
-
-module As_substrate : sig
-  type config = { patience : Patience.t; f : int }
-
-  val name : string
-  (** ["live"]. *)
-
-  val execute :
-    config ->
-    n:int ->
-    rounds:int ->
-    algorithm:('s, 'm, 'out) Rrfd.Algorithm.t ->
-    'out Rrfd.Substrate.execution
-  (** {!run} packaged as the fourth {!Rrfd.Substrate.S} implementation.
-      [rounds_used] is always the requested horizon, [crashed] is empty
-      (live processes never stop early) and [wall_ns] is [Some _] — the
-      only substrate whose executions carry real elapsed time. *)
-end
-
-type 'out differential = {
-  outcome : 'out result;
-  replayed : 'out option array;
-      (** Decisions of the pinned engine replay of [outcome.induced]. *)
-  matched : bool;
-      (** Live and replayed decision vectors agree at {e every} process
-          (all live processes complete the full horizon, so the whole
-          vector is comparable — no prefix rule needed). *)
-}
-
-val differential :
-  ?patience:Patience.t ->
-  ?equal:('out -> 'out -> bool) ->
-  n:int ->
-  f:int ->
-  rounds:int ->
-  algorithm:('s, 'm, 'out) Rrfd.Algorithm.t ->
-  unit ->
-  'out differential
-(** One live run plus its {!Msgnet.Heard_of.replay_decisions} oracle:
-    if [matched] is false, either the extraction lost information or the
-    substrate is not communication-closed — both bugs. *)

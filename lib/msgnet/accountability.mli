@@ -96,8 +96,6 @@ val audit : n:int -> f:int -> log:wire Network.signed list -> accusation list
     class) conviction.  This is the function whose soundness and
     completeness the E24 battery establishes. *)
 
-val accused_set : accusation list -> Rrfd.Pset.t
-
 val pp_accusation : Format.formatter -> accusation -> unit
 (** ["p2: equivocation: #5 p2→p0@3.1 r1:vote 0 vs #9 p2→p3@4.2 r1:vote 1"]. *)
 

@@ -22,7 +22,6 @@ type t = { spec : string; atoms : atom list }
 let none = { spec = "none"; atoms = [] }
 let is_noop t = t.atoms = []
 let make ~spec atoms = { spec; atoms }
-let atoms t = t.atoms
 let spec t = t.spec
 
 let spec_names =

@@ -66,8 +66,6 @@ val make : spec:string -> atom list -> t
 (** Programmatic construction, e.g. partitions over arbitrary
     {!Rrfd.Pset} blocks that the spec grammar cannot spell. *)
 
-val atoms : t -> atom list
-
 val spec : t -> string
 (** The policy's name — round-trips through {!of_spec} for every policy
     built by it. *)

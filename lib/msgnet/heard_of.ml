@@ -80,16 +80,3 @@ let classify ~f history =
   List.map
     (fun (name, p) -> (name, Rrfd.Predicate.holds p history))
     (paper_predicates ~f)
-
-let replay_decisions ~algorithm history =
-  let n = Rrfd.Fault_history.n history in
-  let rounds = Rrfd.Fault_history.rounds history in
-  let schedule =
-    List.init rounds (fun r ->
-        Rrfd.Fault_history.round_sets history ~round:(r + 1))
-  in
-  let detector =
-    Rrfd.Detector.of_schedule ~after:(Array.make n Pset.empty) schedule
-  in
-  let states, _ = Rrfd.Engine.states_after ~n ~rounds ~algorithm ~detector () in
-  Array.map algorithm.Rrfd.Algorithm.decide states

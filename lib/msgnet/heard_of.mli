@@ -5,11 +5,11 @@
     execution; the complement of that record is exactly the paper's fault
     history [{D(i,r)}].  This module is that bridge made executable: the
     {!Round_layer} feeds a recorder as rounds complete, {!to_history}
-    materialises the {!Rrfd.Fault_history}, {!classify} asks which of the
-    paper's predicates P1–P5 the network adversary actually induced, and
-    {!replay_decisions} re-executes the extracted history on the abstract
-    engine — the differential oracle: network decisions and engine
-    decisions must agree bit-for-bit. *)
+    materialises the {!Rrfd.Fault_history}, and {!classify} asks which of
+    the paper's predicates P1–P5 the network adversary actually induced.
+    {!Rrfd.Engine.differential} re-executes the extracted history on the
+    abstract engine: network decisions and engine decisions must agree
+    bit-for-bit. *)
 
 type t
 (** A per-process, round-ordered record of heard-from sets. *)
@@ -73,14 +73,3 @@ val paper_predicates : f:int -> (string * Rrfd.Predicate.t) list
 val classify : f:int -> Rrfd.Fault_history.t -> (string * bool) list
 (** Which of {!paper_predicates} hold of the history — the answer to
     "which model did this adversary induce?". *)
-
-val replay_decisions :
-  algorithm:('s, 'm, 'out) Rrfd.Algorithm.t ->
-  Rrfd.Fault_history.t ->
-  'out option array
-(** Run the extracted history through {!Rrfd.Engine.states_after} (exactly
-    [Fault_history.rounds] rounds, the pinned schedule) and apply the
-    algorithm's decision function to the final states.  Because the round
-    layer is communication-closed — a round-[r] message is emitted from
-    the sender's state after [r-1] completed rounds, whatever the wall
-    clock says — this must reproduce the network execution's decisions. *)

@@ -57,13 +57,6 @@ let suspects t ~observer ~target =
     invalid_arg "Heartbeat.suspects: process out of range";
   (not (Rrfd.Proc.equal observer target)) && overdue t ~observer ~target
 
-let suspected_by t observer =
-  let set = ref Pset.empty in
-  for target = 0 to t.n - 1 do
-    if suspects t ~observer ~target then set := Pset.add target !set
-  done;
-  !set
-
 let false_suspicions t = t.false_count
 
 let live_suspicions t ~among =

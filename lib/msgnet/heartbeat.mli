@@ -39,9 +39,6 @@ val suspects : t -> observer:Rrfd.Proc.t -> target:Rrfd.Proc.t -> bool
 (** Whether [observer] currently suspects [target] (its heartbeat is
     overdue). *)
 
-val suspected_by : t -> Rrfd.Proc.t -> Rrfd.Pset.t
-(** The full suspect set of an observer. *)
-
 val false_suspicions : t -> int
 (** Suspicions later retracted by a late heartbeat (instrumentation for
     the adaptive-timeout behaviour). *)

@@ -1,18 +1,13 @@
 module Pset = Rrfd.Pset
 
 type 'out result = {
-  decisions : 'out option array;
-  induced : Rrfd.Fault_history.t;
+  execution : 'out Rrfd.Substrate.execution;
   heard_of : Heard_of.t;
-  completed : int array;
-  crashed : Rrfd.Pset.t;
   messages_sent : int;
-  messages_delivered : int;
   messages_dropped : int;
   messages_duplicated : int;
   messages_tampered : int;
   virtual_time : float;
-  counters : Rrfd.Counters.t;
 }
 
 (* Wire format is [(round, payload, kind)].  [`Retry] marks a periodic
@@ -216,6 +211,7 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
   let completed = Array.init n (Heard_of.completed heard_rec) in
   let decisions = Array.map (fun p -> algorithm.decide p.state) procs in
   let induced = Heard_of.to_history heard_rec in
+  let rounds_used = Rrfd.Fault_history.rounds induced in
   let counters =
     (* Physical work, not the abstract replay's: [messages] counts actual
        network deliveries (including retransmissions and catch-up help),
@@ -223,100 +219,35 @@ let run ?(seed = 0) ?min_delay ?max_delay ?(crashes = []) ?adversary
        from what the wire did. *)
     Rrfd.Counters.
       {
-        rounds = Rrfd.Fault_history.rounds induced;
+        rounds = rounds_used;
         messages = Network.messages_delivered (net ());
         detector_queries = 0;
         predicate_checks = 0;
       }
   in
   {
-    decisions;
-    induced;
+    execution =
+      {
+        Rrfd.Substrate.substrate = "msgnet";
+        decisions;
+        (* No global round clock: a decided process reports its last
+           completed round. *)
+        decision_rounds =
+          Array.mapi
+            (fun i d -> Option.map (fun _ -> completed.(i)) d)
+            decisions;
+        rounds_used;
+        induced;
+        counters;
+        violation = None;
+        crashed = Network.crashed (net ());
+        completed;
+        wall_ns = None;
+      };
     heard_of = heard_rec;
-    completed;
-    crashed = Network.crashed (net ());
     messages_sent = Network.messages_sent (net ());
-    messages_delivered = Network.messages_delivered (net ());
     messages_dropped = Network.messages_dropped (net ());
     messages_duplicated = Network.messages_duplicated (net ());
     messages_tampered = Network.messages_tampered (net ());
     virtual_time = Dsim.Sim.now sim;
-    counters;
-  }
-
-module As_substrate = struct
-  type config = {
-    seed : int;
-    f : int;
-    min_delay : float option;
-    max_delay : float option;
-    crashes : (Rrfd.Proc.t * float) list;
-    adversary : Adversary.t option;
-    retransmit_every : float option;
-    horizon : float option;
-  }
-
-  let name = "msgnet"
-
-  let execute config ~n ~rounds ~algorithm =
-    let result =
-      run ~seed:config.seed ?min_delay:config.min_delay
-        ?max_delay:config.max_delay ~crashes:config.crashes
-        ?adversary:config.adversary ?retransmit_every:config.retransmit_every
-        ?horizon:config.horizon ~n ~f:config.f ~rounds ~algorithm ()
-    in
-    let decision_rounds =
-      Array.mapi
-        (fun i d -> Option.map (fun _ -> result.completed.(i)) d)
-        result.decisions
-    in
-    {
-      Rrfd.Substrate.substrate = name;
-      decisions = result.decisions;
-      decision_rounds;
-      rounds_used = Rrfd.Fault_history.rounds result.induced;
-      induced = result.induced;
-      counters = result.counters;
-      violation = None;
-      crashed = result.crashed;
-      completed = result.completed;
-      wall_ns = None;
-    }
-end
-
-type 'out differential = {
-  outcome : 'out result;
-  replayed : 'out option array;
-  matched : bool;
-  all_completed : bool;
-}
-
-let differential ?seed ?min_delay ?max_delay ?crashes ?adversary
-    ?retransmit_every ?horizon ?(equal = Stdlib.( = )) ~n ~f ~rounds ~algorithm
-    () =
-  let outcome =
-    run ?seed ?min_delay ?max_delay ?crashes ?adversary ?retransmit_every
-      ?horizon ~n ~f ~rounds ~algorithm ()
-  in
-  let replayed = Heard_of.replay_decisions ~algorithm outcome.induced in
-  let r_max = Rrfd.Fault_history.rounds outcome.induced in
-  let opt_equal a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> equal x y
-    | _ -> false
-  in
-  (* The engine replays the longest completed prefix in lockstep, so only
-     processes that got that far have a network decision to compare. *)
-  let matched = ref true in
-  Array.iteri
-    (fun i c ->
-      if c = r_max && not (opt_equal outcome.decisions.(i) replayed.(i)) then
-        matched := false)
-    outcome.completed;
-  {
-    outcome;
-    replayed;
-    matched = !matched;
-    all_completed = Array.for_all (fun c -> c = rounds) outcome.completed;
   }

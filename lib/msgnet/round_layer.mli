@@ -16,20 +16,25 @@
     catch-up copies from processes further ahead), without which a lossy
     or partitioned round could starve below the [n − f] threshold
     forever.  As rounds complete, a {!Heard_of} recorder extracts the
-    induced fault history; {!differential} replays it through the
-    abstract engine and checks the two executions decide identically. *)
+    induced fault history; {!Rrfd.Engine.differential} replays it through
+    the abstract engine and checks the two executions decide
+    identically. *)
 
 type 'out result = {
-  decisions : 'out option array;
-  induced : Rrfd.Fault_history.t;
-      (** Extracted fault history over the longest completed prefix.
-          Slots of rounds a (crashed or starved) process never completed
-          hold the empty set; [completed] says how far each process got. *)
+  execution : 'out Rrfd.Substrate.execution;
+      (** The uniform observation, substrate ["msgnet"].  [induced] is
+          the extracted fault history over the longest completed prefix:
+          slots of rounds a (crashed or starved) process never completed
+          hold the empty set, and [completed] says how far each process
+          got, which may be ragged when crashes or loss starve a process.
+          [decisions] are read off the final states and [decision_rounds]
+          report the last completed round of each decided process (the
+          layer has no global round clock).  [counters] measure what the
+          wire actually did: [rounds] of the extracted history,
+          [messages] physically delivered (retransmissions and catch-up
+          help included), zero detector queries. *)
   heard_of : Heard_of.t;  (** The raw heard-of record behind [induced]. *)
-  completed : int array;  (** Rounds completed by each process. *)
-  crashed : Rrfd.Pset.t;
   messages_sent : int;
-  messages_delivered : int;
   messages_dropped : int;  (** Lost to the adversary. *)
   messages_duplicated : int;  (** Extra copies the adversary injected. *)
   messages_tampered : int;
@@ -41,12 +46,8 @@ type 'out result = {
           {!Heard_of.to_lie_history}.  Lies change content only; the
           delay schedule is bit-identical to the byz-free run. *)
   virtual_time : float;  (** Simulated time at which the run drained. *)
-  counters : Rrfd.Counters.t;
-      (** Work accounting in the engine's vocabulary, measuring what the
-          wire actually did: [rounds] of the extracted history, [messages]
-          physically delivered (retransmissions and catch-up help
-          included), zero detector queries. *)
 }
+(** One run: the execution plus what only a simulated network has. *)
 
 val run :
   ?seed:int ->
@@ -75,55 +76,3 @@ val run :
     including its random delay stream — is unchanged.
     @raise Invalid_argument if more than [f] crashes are requested or
     [retransmit_every <= 0]. *)
-
-(** {1 The asynchronous network as a substrate} *)
-
-module As_substrate : sig
-  type config = {
-    seed : int;  (** Delay/adversary randomness; part of the experiment key. *)
-    f : int;  (** Resilience: rounds complete on [n - f] messages. *)
-    min_delay : float option;
-    max_delay : float option;
-    crashes : (Rrfd.Proc.t * float) list;
-    adversary : Adversary.t option;
-    retransmit_every : float option;
-    horizon : float option;
-  }
-
-  include Rrfd.Substrate.S with type config := config
-end
-(** {!Rrfd.Substrate.S} view of {!run}.  [decision_rounds] reports the
-    last completed round of each decided process (the layer has no global
-    round clock); [completed] may be ragged when crashes or loss starve a
-    process. *)
-
-type 'out differential = {
-  outcome : 'out result;
-  replayed : 'out option array;
-      (** {!Heard_of.replay_decisions} of the extracted history. *)
-  matched : bool;
-      (** Decisions agree (under [equal]) for every process that completed
-          the full extracted prefix. *)
-  all_completed : bool;  (** Every process completed all [rounds]. *)
-}
-
-val differential :
-  ?seed:int ->
-  ?min_delay:float ->
-  ?max_delay:float ->
-  ?crashes:(Rrfd.Proc.t * float) list ->
-  ?adversary:Adversary.t ->
-  ?retransmit_every:float ->
-  ?horizon:float ->
-  ?equal:('out -> 'out -> bool) ->
-  n:int ->
-  f:int ->
-  rounds:int ->
-  algorithm:('s, 'm, 'out) Rrfd.Algorithm.t ->
-  unit ->
-  'out differential
-(** Run over the damaged network, extract the fault history, replay it on
-    {!Rrfd.Engine.states_after}, and compare decision vectors ([equal]
-    defaults to structural equality).  This is the differential oracle
-    tying the discrete-event network back to the paper's abstract model:
-    [matched] must hold for every adversary. *)

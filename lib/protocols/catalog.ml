@@ -237,82 +237,55 @@ let find_exn name_ =
 
    The algorithm's state and message types are existential, so the only way
    out of the catalog is to run: each runner instantiates the algorithm
-   once and drives it through the corresponding {!Rrfd.Substrate.S}
-   implementation. *)
+   once and drives it through the corresponding substrate's [run]. *)
 
-let run_engine t ?inputs ?check ?(stop_when_decided = true) ?max_rounds ~n ~f
+let inputs_for ~n = function Some i -> i | None -> default_inputs ~n
+
+let horizon_for t ~n ~f = function Some r -> r | None -> t.horizon ~n ~f
+
+let run_engine t ?inputs ?check ?stop_when_decided ?max_rounds ~n ~f
     ~detector () =
   let (Packed p) = t.packed in
-  let inputs = match inputs with Some i -> i | None -> default_inputs ~n in
-  let rounds = match max_rounds with Some r -> r | None -> 64 in
-  Rrfd.Engine.As_substrate.execute
-    { Rrfd.Engine.As_substrate.detector; check; stop_when_decided }
-    ~n ~rounds
-    ~algorithm:(p.algorithm ~inputs ~f)
+  Rrfd.Engine.run ~n ?max_rounds ?check ?stop_when_decided
+    ~algorithm:(p.algorithm ~inputs:(inputs_for ~n inputs) ~f)
+    ~detector ()
 
-let run_sync t ?inputs ?check ?(stop_when_decided = true) ?rounds ~n ~f
-    ~pattern () =
+let run_sync t ?inputs ?check ?stop_when_decided ?rounds ~n ~f ~pattern () =
   let (Packed p) = t.packed in
-  let inputs = match inputs with Some i -> i | None -> default_inputs ~n in
-  let rounds = match rounds with Some r -> r | None -> t.horizon ~n ~f in
-  Syncnet.Sync_net.As_substrate.execute
-    { Syncnet.Sync_net.As_substrate.pattern; check; stop_when_decided }
-    ~n ~rounds
-    ~algorithm:(p.algorithm ~inputs ~f)
+  let rounds = horizon_for t ~n ~f rounds in
+  Syncnet.Sync_net.run ~n ~rounds ~pattern
+    ~algorithm:(p.algorithm ~inputs:(inputs_for ~n inputs) ~f)
+    ?check ?stop_when_decided ()
 
-let run_msgnet t ?inputs ?(crashes = []) ?adversary ?min_delay ?max_delay
+let run_msgnet t ?inputs ?crashes ?adversary ?min_delay ?max_delay
     ?retransmit_every ?time_horizon ?rounds ~seed ~n ~f () =
   let (Packed p) = t.packed in
-  let inputs = match inputs with Some i -> i | None -> default_inputs ~n in
-  let rounds = match rounds with Some r -> r | None -> t.horizon ~n ~f in
-  Msgnet.Round_layer.As_substrate.execute
-    {
-      Msgnet.Round_layer.As_substrate.seed;
-      f;
-      min_delay;
-      max_delay;
-      crashes;
-      adversary;
-      retransmit_every;
-      horizon = time_horizon;
-    }
-    ~n ~rounds
-    ~algorithm:(p.algorithm ~inputs ~f)
+  let rounds = horizon_for t ~n ~f rounds in
+  (Msgnet.Round_layer.run ~seed ?min_delay ?max_delay ?crashes ?adversary
+     ?retransmit_every ?horizon:time_horizon ~n ~f ~rounds
+     ~algorithm:(p.algorithm ~inputs:(inputs_for ~n inputs) ~f)
+     ())
+    .execution
 
 let run_live t ?inputs ?patience ?rounds ~n ~f () =
   let (Packed p) = t.packed in
-  let inputs = match inputs with Some i -> i | None -> default_inputs ~n in
-  let rounds = match rounds with Some r -> r | None -> t.horizon ~n ~f in
-  let patience =
-    match patience with Some p -> p | None -> Live.Patience.Wait_quorum
-  in
-  Live.As_substrate.execute
-    { Live.As_substrate.patience; f }
-    ~n ~rounds
-    ~algorithm:(p.algorithm ~inputs ~f)
+  let rounds = horizon_for t ~n ~f rounds in
+  Live.run ?patience ~n ~f ~rounds
+    ~algorithm:(p.algorithm ~inputs:(inputs_for ~n inputs) ~f)
+    ()
 
-(* Pinned replay: the differential oracle.  The history becomes an
-   [of_schedule] detector with a failure-free tail, the engine runs it for
-   exactly the history's length without early stopping, so the replay's
-   induced history is the input history bit-for-bit and the decisions are
-   those of the lock-step execution the history describes. *)
-let replay t ?inputs ?check ~f ~history () =
-  let n = Rrfd.Fault_history.n history in
-  let pinned = Rrfd.Fault_history.rounds history in
-  let schedule =
-    List.init pinned (fun r ->
-        Rrfd.Fault_history.round_sets history ~round:(r + 1))
-  in
-  let after = Array.make n Rrfd.Pset.empty in
-  let detector = Rrfd.Detector.of_schedule ~after schedule in
-  run_engine t ?inputs ?check ~stop_when_decided:false ~max_rounds:pinned ~n
-    ~f ~detector ()
+let differential t ?inputs ~f (ex : int Rrfd.Substrate.execution) =
+  let (Packed p) = t.packed in
+  let n = Rrfd.Fault_history.n ex.induced in
+  Rrfd.Engine.differential
+    ~algorithm:(p.algorithm ~inputs:(inputs_for ~n inputs) ~f)
+    ex
 
 let transcript t ?inputs ?check ~n ~f ~max_rounds ~detector () =
   let (Packed p) = t.packed in
-  let inputs = match inputs with Some i -> i | None -> default_inputs ~n in
   let trace =
     Rrfd.Trace.record ~n ~max_rounds ?check ~pp_msg:p.pp_msg
-      ~algorithm:(p.algorithm ~inputs ~f) ~detector ()
+      ~algorithm:(p.algorithm ~inputs:(inputs_for ~n inputs) ~f)
+      ~detector ()
   in
   Format.asprintf "@[<v>%a@]" (Rrfd.Trace.pp t.pp_out) trace

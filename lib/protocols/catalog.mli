@@ -75,9 +75,8 @@ val default_inputs : n:int -> int array
 (** {1 Substrate runners}
 
     Each runner instantiates the entry's algorithm (default inputs
-    {!default_inputs} unless given) and drives it through one
-    {!Rrfd.Substrate.S} implementation, returning the uniform
-    [int Rrfd.Substrate.execution] record. *)
+    {!default_inputs} unless given) and drives it through one substrate's
+    [run], returning the uniform [int Rrfd.Substrate.execution] record. *)
 
 val run_engine :
   t ->
@@ -90,8 +89,8 @@ val run_engine :
   detector:Rrfd.Detector.t ->
   unit ->
   int Rrfd.Substrate.execution
-(** The abstract engine ({!Rrfd.Engine.As_substrate}).  [max_rounds]
-    defaults to 64, matching {!Rrfd.Engine.run}. *)
+(** The abstract engine ({!Rrfd.Engine.run}; [max_rounds] defaults to
+    64). *)
 
 val run_sync :
   t ->
@@ -104,7 +103,7 @@ val run_sync :
   pattern:Syncnet.Faults.t ->
   unit ->
   int Rrfd.Substrate.execution
-(** The lock-step synchronous network ({!Syncnet.Sync_net.As_substrate}).
+(** The lock-step synchronous network ({!Syncnet.Sync_net.run}).
     [rounds] defaults to the protocol's horizon at ([n], [f]). *)
 
 val run_live :
@@ -116,12 +115,12 @@ val run_live :
   f:int ->
   unit ->
   int Rrfd.Substrate.execution
-(** The live substrate ({!Live.As_substrate}): one OCaml domain per
-    process, real scheduling, omission observed rather than injected.
-    [patience] defaults to {!Live.Patience.Wait_quorum} (at the given
-    [f]); [rounds] defaults to the protocol's horizon at ([n], [f]).
-    Nondeterministic run to run — but [execution.induced] is the exact
-    heard-of record, so {!replay} of it is the deterministic pin. *)
+(** The live substrate ({!Live.run}): one OCaml domain per process, real
+    scheduling, omission observed rather than injected.  [patience]
+    defaults to {!Live.Patience.Wait_quorum} (at the given [f]); [rounds]
+    defaults to the protocol's horizon at ([n], [f]).  Nondeterministic
+    run to run — but [execution.induced] is the exact heard-of record, so
+    its {!differential} is the deterministic pin. *)
 
 val run_msgnet :
   t ->
@@ -138,23 +137,21 @@ val run_msgnet :
   f:int ->
   unit ->
   int Rrfd.Substrate.execution
-(** The event-driven asynchronous network
-    ({!Msgnet.Round_layer.As_substrate}).  [rounds] defaults to the
-    protocol's horizon; [time_horizon] is the simulated-time repair cutoff
+(** The event-driven asynchronous network ({!Msgnet.Round_layer.run}'s
+    execution).  [rounds] defaults to the protocol's horizon;
+    [time_horizon] is the simulated-time repair cutoff
     ({!Msgnet.Round_layer.run}'s [horizon]). *)
 
-val replay :
+val differential :
   t ->
   ?inputs:int array ->
-  ?check:Rrfd.Predicate.t ->
   f:int ->
-  history:Rrfd.Fault_history.t ->
-  unit ->
-  int Rrfd.Substrate.execution
-(** Pinned replay, the differential oracle: run the engine over exactly
-    [history] ({!Rrfd.Detector.of_schedule}, no early stop), so the
-    replay's induced history is [history] bit-for-bit and its decisions
-    are the lock-step reading of it. *)
+  int Rrfd.Substrate.execution ->
+  int Rrfd.Engine.differential
+(** {!Rrfd.Engine.differential} with the entry's algorithm (instantiated
+    at the execution's [n], [f] and [inputs], default
+    {!default_inputs}): the pinned replay of [ex.induced] and the first
+    comparable process whose decision it did not reproduce. *)
 
 val transcript :
   t ->

@@ -311,6 +311,17 @@ let int = function
   | Number v when Float.is_integer v -> int_of_float v
   | j -> error "json: expected integer, found %s" (type_name j)
 
+let int_in ~lo ~hi key obj =
+  let v = int (member key obj) in
+  if v < lo || v > hi then
+    error "json: %s = %d is outside %d..%d" key v lo hi;
+  v
+
+let sized ~n key a =
+  if Array.length a <> n then
+    error "json: %s has %d entries, expected %d" key (Array.length a) n;
+  a
+
 let bool = function
   | Bool b -> b
   | j -> error "json: expected bool, found %s" (type_name j)

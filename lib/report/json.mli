@@ -48,6 +48,15 @@ val num : t -> float
 
 val int : t -> int
 
+val int_in : lo:int -> hi:int -> string -> t -> int
+(** [int_in ~lo ~hi key obj] is the integer field [key] of [obj], which
+    must lie in [\[lo, hi\]] — how artifact decoders refuse well-formed
+    files whose sizes the replay would reject. *)
+
+val sized : n:int -> string -> 'a array -> 'a array
+(** [sized ~n key a] is [a] when it has exactly [n] entries — one per
+    process — and raises {!Error} naming [key] otherwise. *)
+
 val bool : t -> bool
 
 val list : t -> t list

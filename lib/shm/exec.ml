@@ -28,8 +28,6 @@ struct
     killed_flags : bool array;
   }
 
-  let killed o = o.killed_flags
-
   let run ?enforce_swmr ?kill_after ~n_procs ~n_locs ~schedule body =
     if n_procs < 1 then invalid_arg "Exec.run: need at least one process";
     let memory : V.t option array = Array.make n_locs None in

@@ -58,7 +58,4 @@ end) : sig
 
       Programs must not perform effects other than {!read}/{!write} and
       must terminate (the executor runs to quiescence). *)
-
-  val killed : outcome -> bool array
-  (** Which processes were crashed by [kill_after]. *)
 end

@@ -14,7 +14,3 @@ val detector : Dsim.Rng.t -> n:int -> Rrfd.Detector.t
 
 val history : Dsim.Rng.t -> n:int -> rounds:int -> Rrfd.Fault_history.t
 (** [history rng ~n ~rounds] materialises a fault history of the model. *)
-
-val steps_per_round : Dsim.Rng.t -> n:int -> int
-(** Register operations one round costs under a random interleaving
-    (instrumentation for the benchmarks). *)

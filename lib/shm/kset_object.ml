@@ -2,21 +2,15 @@ type t = {
   k : int;
   rng : Dsim.Rng.t option;
   mutable anchors : int list; (* oldest first *)
-  mutable proposals : int;
 }
 
 let create ?rng ~k () =
   if k < 1 then invalid_arg "Kset_object.create: k must be ≥ 1";
-  { k; rng; anchors = []; proposals = 0 }
+  { k; rng; anchors = [] }
 
 let k t = t.k
 
-let anchors t = t.anchors
-
-let proposals_seen t = t.proposals
-
 let propose t v =
-  t.proposals <- t.proposals + 1;
   let adversary_says_adopt =
     match t.rng with None -> false | Some rng -> Dsim.Rng.bool rng
   in

@@ -21,8 +21,3 @@ val propose : t -> int -> int
     replies are drawn among current anchors.  Validity: the reply was
     proposed before the reply is issued.  Agreement: at most [k] distinct
     replies over the object's lifetime. *)
-
-val anchors : t -> int list
-(** Current anchor values, oldest first (≤ k of them). *)
-
-val proposals_seen : t -> int

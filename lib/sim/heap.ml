@@ -72,16 +72,3 @@ let pop h =
     end;
     Some (e.priority, e.value)
   end
-
-let clear h =
-  h.size <- 0;
-  h.next_seq <- 0
-
-let to_sorted_list h =
-  let copy = { data = Array.sub h.data 0 (Array.length h.data); size = h.size; next_seq = h.next_seq } in
-  let rec drain acc =
-    match pop copy with
-    | None -> List.rev acc
-    | Some kv -> drain (kv :: acc)
-  in
-  drain []

@@ -25,9 +25,3 @@ val pop : 'a t -> (float * 'a) option
 
 val peek : 'a t -> (float * 'a) option
 (** [peek h] is the entry [pop] would return, without removing it. *)
-
-val clear : 'a t -> unit
-(** [clear h] removes all entries. *)
-
-val to_sorted_list : 'a t -> (float * 'a) list
-(** [to_sorted_list h] drains a copy of [h] in pop order. *)

@@ -95,10 +95,6 @@ let choose t = function
   | [] -> invalid_arg "Rng.choose: empty list"
   | l -> List.nth l (int t (List.length l))
 
-let choose_array t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose_array: empty array";
-  a.(int t (Array.length a))
-
 let sample_without_replacement t k n =
   if k < 0 || k > n then invalid_arg "Rng.sample_without_replacement";
   (* Reservoir-free selection sampling (Knuth algorithm S): O(n). *)

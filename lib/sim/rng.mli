@@ -62,10 +62,6 @@ val choose : t -> 'a list -> 'a
 (** [choose t l] is a uniformly chosen element of [l].
     @raise Invalid_argument on the empty list. *)
 
-val choose_array : t -> 'a array -> 'a
-(** [choose_array t a] is a uniformly chosen element of [a].
-    @raise Invalid_argument on the empty array. *)
-
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] returns [k] distinct integers drawn
     uniformly from [\[0, n)], in increasing order.

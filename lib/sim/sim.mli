@@ -32,10 +32,6 @@ val schedule_at : t -> time:float -> (t -> unit) -> unit
 val pending : t -> int
 (** [pending sim] is the number of events still queued. *)
 
-val step : t -> bool
-(** [step sim] executes the next event.  Returns [false] when the queue is
-    empty (and the clock does not move). *)
-
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** [run ?until ?max_events sim] executes events until the queue drains, the
     clock passes [until], or [max_events] events have run, whichever comes

@@ -7,8 +7,6 @@ type state = {
   decision : int option;
 }
 
-let rounds_heard s = s.heard
-
 let merge a b = List.sort_uniq Int.compare (List.rev_append a b)
 
 let algorithm ~inputs ~f =

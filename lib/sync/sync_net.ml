@@ -1,25 +1,19 @@
 module Pset = Rrfd.Pset
 
-type 'out result = {
-  decisions : 'out option array;
-  decision_rounds : int option array;
-  rounds_used : int;
-  induced : Rrfd.Fault_history.t;
-  crashed : Rrfd.Pset.t;
-  counters : Rrfd.Counters.t;
-  violation : string option;
-}
-
 let run ~n ~rounds ~pattern ~algorithm ?check ?(stop_when_decided = true) () =
   if Faults.n pattern <> n then invalid_arg "Sync_net.run: pattern size mismatch";
   let open Rrfd.Algorithm in
   let states = Array.init n (fun i -> algorithm.init ~n i) in
   let decisions = Array.make n None in
   let decision_rounds = Array.make n None in
+  let completed = Array.make n 0 in
   let all = Pset.full n in
-  let record_decisions round alive =
+  (* A process crashing at round r still delivers round r (only its sends
+     are cut short), so it completed r rounds. *)
+  let record_round round alive =
     Pset.iter
       (fun i ->
+        completed.(i) <- round;
         if Option.is_none decisions.(i) then
           match algorithm.decide states.(i) with
           | None -> ()
@@ -39,13 +33,16 @@ let run ~n ~rounds ~pattern ~algorithm ?check ?(stop_when_decided = true) () =
     in
     if done_ then
       {
+        Rrfd.Substrate.substrate = "sync";
         decisions;
         decision_rounds;
         rounds_used = round - 1;
         induced = history;
-        crashed = Pset.diff all alive;
         counters;
         violation;
+        crashed = Pset.diff all alive;
+        completed;
+        wall_ns = None;
       }
     else begin
       (* Emissions go into a reusable buffer; slots of crashed processes
@@ -90,7 +87,7 @@ let run ~n ~rounds ~pattern ~algorithm ?check ?(stop_when_decided = true) () =
           Rrfd.View.set view ~msgs:buf ~faulty;
           states.(i) <- algorithm.deliver states.(i) ~round ~view)
         alive;
-      record_decisions round alive;
+      record_round round alive;
       let counters =
         Rrfd.Counters.
           {
@@ -116,31 +113,3 @@ let run ~n ~rounds ~pattern ~algorithm ?check ?(stop_when_decided = true) () =
     end
   in
   loop 1 (Rrfd.Fault_history.empty ~n) Rrfd.Counters.zero None
-
-module As_substrate = struct
-  type config = {
-    pattern : Faults.t;
-    check : Rrfd.Predicate.t option;
-    stop_when_decided : bool;
-  }
-
-  let name = "sync"
-
-  let execute config ~n ~rounds ~algorithm =
-    let result =
-      run ~n ~rounds ~pattern:config.pattern ~algorithm ?check:config.check
-        ~stop_when_decided:config.stop_when_decided ()
-    in
-    {
-      Rrfd.Substrate.substrate = name;
-      decisions = result.decisions;
-      decision_rounds = result.decision_rounds;
-      rounds_used = result.rounds_used;
-      induced = result.induced;
-      counters = result.counters;
-      violation = result.violation;
-      crashed = result.crashed;
-      completed = Array.make n result.rounds_used;
-      wall_ns = None;
-    }
-end

@@ -9,26 +9,6 @@
     the model-correspondence experiments can check the derived history
     against the item-1/item-2 predicates. *)
 
-type 'out result = {
-  decisions : 'out option array;
-  decision_rounds : int option array;
-  rounds_used : int;
-  induced : Rrfd.Fault_history.t;
-      (** The derived fault history.  For a process that crashed, later
-          rounds record what it {e would} have missed — consistent with the
-          RRFD reading in which every process keeps executing. *)
-  crashed : Rrfd.Pset.t;  (** Processes that crashed during the run. *)
-  counters : Rrfd.Counters.t;
-      (** Work accounting in the engine's vocabulary: rounds executed,
-          messages delivered to live processes, zero detector queries
-          (the environment {e is} the detector here), predicate checks
-          when a [?check] was requested. *)
-  violation : string option;
-      (** Earliest [?check] violation of the induced history.  Purely an
-          observation: the lock-step run continues regardless, so the
-          result is otherwise identical with and without a check. *)
-}
-
 val run :
   n:int ->
   rounds:int ->
@@ -37,25 +17,24 @@ val run :
   ?check:Rrfd.Predicate.t ->
   ?stop_when_decided:bool ->
   unit ->
-  'out result
+  'out Rrfd.Substrate.execution
 (** [run ~n ~rounds ~pattern ~algorithm ()] executes up to [rounds]
-    synchronous rounds.  A process crashed by [pattern] stops emitting and
-    stops updating its state (its pre-crash decision, if any, stands).
-    With [stop_when_decided] (default true) the run ends once every
-    non-crashed process has decided. *)
+    synchronous rounds.  A process crashed by [pattern] at round [r]
+    still receives round [r], then stops emitting and stops updating its
+    state (its decision, if any, stands).  With [stop_when_decided]
+    (default true) the run ends once every non-crashed process has
+    decided.
 
-(** {1 The synchronous network as a substrate} *)
-
-module As_substrate : sig
-  type config = {
-    pattern : Faults.t;  (** The injected fault pattern. *)
-    check : Rrfd.Predicate.t option;
-    stop_when_decided : bool;
-  }
-
-  include Rrfd.Substrate.S with type config := config
-end
-(** {!Rrfd.Substrate.S} view of {!run}.  The induced history keeps the
-    RRFD reading in which every process executes every round, so
-    [completed] is uniform even when the pattern crashed someone —
-    [crashed] says who actually stopped. *)
+    The execution's [substrate] is ["sync"].  Its [induced] history is
+    the derived one: for a process that crashed, later rounds record what
+    it {e would} have missed — the RRFD reading in which every process
+    keeps executing.  [crashed] says who actually stopped, and
+    [completed] how far each process got: the rounds executed for a
+    process that never crashed, its crash round for one that did.  [counters]
+    use the engine's vocabulary: rounds executed, messages delivered to
+    live processes, zero detector queries (the environment {e is} the
+    detector here), predicate checks when a [?check] was requested.
+    [violation] is the earliest [?check] violation of the induced
+    history; it is purely an observation — the lock-step run continues
+    regardless, so the execution is otherwise identical with and without
+    a check. *)

@@ -31,5 +31,3 @@ val check :
 
 val distinct_decisions : decisions:int option array -> int
 (** Number of distinct decided values (undecided processes ignored). *)
-
-val pp_report : Format.formatter -> report -> unit

@@ -28,13 +28,13 @@ let adopt_commit_breaks_under_bare_async () =
       ~algorithm:(Ac.algorithm ~inputs) ~detector ()
   in
   Alcotest.(check (option string)) "the schedule is legal async(2)" None
-    outcome.Rrfd.Engine.violation;
-  (match Ac.check_outcomes ~inputs outcome.Rrfd.Engine.decisions with
+    outcome.Rrfd.Substrate.violation;
+  (match Ac.check_outcomes ~inputs outcome.Rrfd.Substrate.decisions with
   | Some reason ->
     Alcotest.(check bool) "agreement clause broken" true
       (String.length reason >= 9 && String.sub reason 0 9 = "agreement")
   | None -> Alcotest.fail "expected an adopt-commit violation");
-  match (outcome.Rrfd.Engine.decisions.(0), outcome.Rrfd.Engine.decisions.(1)) with
+  match (outcome.decisions.(0), outcome.decisions.(1)) with
   | Some (Ac.Commit 1), Some (Ac.Commit 2) -> ()
   | _ -> Alcotest.fail "expected two conflicting commits"
 
@@ -54,7 +54,7 @@ let adopt_commit_safe_under_shm_exhaustive () =
         let outcome =
           Rrfd.Engine.run ~n:3 ~algorithm:(Ac.algorithm ~inputs) ~detector ()
         in
-        Ac.check_outcomes ~inputs outcome.Rrfd.Engine.decisions <> None)
+        Ac.check_outcomes ~inputs outcome.Rrfd.Substrate.decisions <> None)
   in
   match counterexample with
   | None -> ()
@@ -75,11 +75,11 @@ let kset_breaks_beyond_uncertainty_bound () =
     Rrfd.Engine.run ~n:4 ~algorithm:(Rrfd.Kset.one_round ~inputs) ~detector ()
   in
   Alcotest.(check int) "3 distinct decisions" 3
-    (Tasks.Agreement.distinct_decisions ~decisions:outcome.Rrfd.Engine.decisions);
+    (Tasks.Agreement.distinct_decisions ~decisions:outcome.decisions);
   Alcotest.(check bool) "violates k=2" false
-    (Rrfd.Predicate.holds (Rrfd.Predicate.k_set ~k:2) outcome.Rrfd.Engine.history);
+    (Rrfd.Predicate.holds (Rrfd.Predicate.k_set ~k:2) outcome.induced);
   Alcotest.(check bool) "satisfies k=3" true
-    (Rrfd.Predicate.holds (Rrfd.Predicate.k_set ~k:3) outcome.Rrfd.Engine.history)
+    (Rrfd.Predicate.holds (Rrfd.Predicate.k_set ~k:3) outcome.induced)
 
 let recording_detector_replays () =
   let rng = Dsim.Rng.create 31 in

@@ -34,9 +34,9 @@ let run_rrfd ~n ~seed ~inputs =
 
 let rrfd_two_rounds () =
   let outcome = run_rrfd ~n:4 ~seed:7 ~inputs:[| 1; 2; 1; 2 |] in
-  Alcotest.(check int) "two rounds" 2 outcome.Rrfd.Engine.rounds_used;
+  Alcotest.(check int) "two rounds" 2 outcome.Rrfd.Substrate.rounds_used;
   Alcotest.(check (option string)) "spec holds" None
-    (Ac.check_outcomes ~inputs:[| 1; 2; 1; 2 |] outcome.Rrfd.Engine.decisions)
+    (Ac.check_outcomes ~inputs:[| 1; 2; 1; 2 |] outcome.decisions)
 
 let rrfd_property =
   QCheck.Test.make
@@ -47,10 +47,10 @@ let rrfd_property =
       let rng = Dsim.Rng.create (seed * 31) in
       let inputs = Array.init n (fun _ -> Dsim.Rng.int rng universe) in
       let outcome = run_rrfd ~n ~seed ~inputs in
-      match outcome.Rrfd.Engine.violation with
+      match outcome.Rrfd.Substrate.violation with
       | Some v -> QCheck.Test.fail_reportf "adversary broke predicate: %s" v
       | None -> (
-        match Ac.check_outcomes ~inputs outcome.Rrfd.Engine.decisions with
+        match Ac.check_outcomes ~inputs outcome.Rrfd.Substrate.decisions with
         | None -> true
         | Some reason -> QCheck.Test.fail_reportf "n=%d: %s" n reason))
 

@@ -77,10 +77,10 @@ let engine_max_rounds_without_decisions () =
     Rrfd.Engine.run ~n:3 ~max_rounds:5 ~algorithm:never_decides
       ~detector:Rrfd.Detector.none ()
   in
-  Alcotest.(check int) "ran to max" 5 outcome.Rrfd.Engine.rounds_used;
+  Alcotest.(check int) "ran to max" 5 outcome.Rrfd.Substrate.rounds_used;
   Alcotest.(check (array (option unit))) "nobody decided"
     [| None; None; None |]
-    outcome.Rrfd.Engine.decisions
+    outcome.Rrfd.Substrate.decisions
 
 let detector_of_schedule_after () =
   let s = Rrfd.Pset.of_list in

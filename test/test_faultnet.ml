@@ -64,7 +64,7 @@ let extraction_well_formed =
                 c round
         done
       done;
-      let hist = r.Msgnet.Round_layer.induced in
+      let hist = r.Msgnet.Round_layer.execution.induced in
       for round = 1 to Rrfd.Fault_history.rounds hist do
         for i = 0 to n - 1 do
           if Pset.mem i (Rrfd.Fault_history.d hist ~proc:i ~round) then
@@ -84,8 +84,8 @@ let seed_determinism =
       let f = (n - 1) / 2 in
       let a = full_info_run ~seed ~spec ~n ~f ~rounds:3 in
       let b = full_info_run ~seed ~spec ~n ~f ~rounds:3 in
-      Rrfd.Fault_history.equal a.Msgnet.Round_layer.induced
-        b.Msgnet.Round_layer.induced
+      Rrfd.Fault_history.equal a.Msgnet.Round_layer.execution.induced
+        b.Msgnet.Round_layer.execution.induced
       && a.Msgnet.Round_layer.messages_sent = b.Msgnet.Round_layer.messages_sent
       && a.Msgnet.Round_layer.messages_dropped
          = b.Msgnet.Round_layer.messages_dropped
@@ -106,7 +106,7 @@ let campaign_jobs_invariance () =
           (Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct 5))
         ()
     in
-    Rrfd.Fault_history.to_string_compact r.Msgnet.Round_layer.induced
+    Rrfd.Fault_history.to_string_compact r.Msgnet.Round_layer.execution.induced
   in
   let serial = Runtime.Campaign.run ~jobs:1 ~seed:4 ~trials:16 trial in
   let parallel = Runtime.Campaign.run ~jobs:2 ~seed:4 ~trials:16 trial in
@@ -122,24 +122,25 @@ let differential_matrix () =
     let f = (n - 1) / 2 in
     List.iteri
       (fun idx spec ->
-        let d =
-          Msgnet.Round_layer.differential ~seed:(100 + (17 * idx) + n)
-            ~adversary:(adversary spec) ~equal:Rrfd.Full_info.equal ~n ~f
-            ~rounds:4
-            ~algorithm:
-              (Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n))
-            ()
+        let algorithm =
+          Rrfd.Full_info.algorithm ~inputs:(Tasks.Inputs.distinct n)
         in
-        Alcotest.(check bool)
+        let ex =
+          (Msgnet.Round_layer.run ~seed:(100 + (17 * idx) + n)
+             ~adversary:(adversary spec) ~n ~f ~rounds:4 ~algorithm ())
+            .execution
+        in
+        let d =
+          Rrfd.Engine.differential ~equal:Rrfd.Full_info.equal ~algorithm ex
+        in
+        Alcotest.(check (option int))
           (Printf.sprintf "n=%d %s: replay matches" n spec)
-          true d.Msgnet.Round_layer.matched;
+          None d.divergence;
         Alcotest.(check bool)
           (Printf.sprintf "n=%d %s: all processes completed" n spec)
-          true d.Msgnet.Round_layer.all_completed;
-        let held =
-          Msgnet.Heard_of.classify ~f
-            d.Msgnet.Round_layer.outcome.Msgnet.Round_layer.induced
-        in
+          true
+          (Array.for_all (fun c -> c = 4) ex.completed);
+        let held = Msgnet.Heard_of.classify ~f ex.induced in
         Alcotest.(check bool)
           (Printf.sprintf "n=%d %s: P3 holds" n spec)
           true (List.assoc "P3" held))

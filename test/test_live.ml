@@ -204,17 +204,16 @@ let differential_stress () =
             let inputs = Protocols.Catalog.default_inputs ~n in
             Dsim.Rng.shuffle_in_place rng inputs;
             let ex = Protocols.Catalog.run_live proto ~inputs ~patience ~n ~f () in
-            let replayed =
-              Protocols.Catalog.replay proto ~inputs ~f
-                ~history:ex.Rrfd.Substrate.induced ()
-            in
-            if ex.Rrfd.Substrate.decisions <> replayed.Rrfd.Substrate.decisions
-            then
+            let d = Protocols.Catalog.differential proto ~inputs ~f ex in
+            match d.divergence with
+            | None -> ()
+            | Some i ->
               Alcotest.failf
                 "%s under %s: live decisions diverged from the pinned replay \
-                 (history %s)"
+                 at p%d (history %s)"
                 name
                 (Live.Patience.to_string patience)
+                i
                 (Rrfd.Fault_history.to_string_compact ex.Rrfd.Substrate.induced)
           done)
         all_policies)
@@ -339,7 +338,8 @@ let e23_codec () =
 
 (* Hostile input at every artifact loader — a missing file, non-JSON
    bytes, another kind's valid artifact, a future version, a seed that is
-   not a decimal integer — gives [Error], never an exception. *)
+   not a decimal integer, a size the replay cannot run — gives [Error],
+   never an exception. *)
 let hostile_artifacts () =
   let codecs = Lazy.force artifact_codecs in
   let dir = Filename.temp_dir "rrfd_hostile" "" in
@@ -362,10 +362,32 @@ let hostile_artifacts () =
            ])
          codecs
     @
-    let _, byz, _, _ = List.find (fun (k, _, _, _) -> k = "e24-byz") codecs in
+    let json_of kind =
+      let _, json, _, _ = List.find (fun (k, _, _, _) -> k = kind) codecs in
+      json
+    in
+    let byz = json_of "e24-byz" and derive = json_of "e26-derive" in
+    let num v = Report.Json.Number (float_of_int v) in
+    (* Well-formed files whose sizes the replay cannot run. *)
+    let out_of_range name key v json =
+      (json_file name (replace_field key (num v) json), None)
+    in
+    let live = json_of "rrfd-live-grid" in
     [
       ( json_file "byz-seed"
           (replace_field "seed" (Report.Json.String "abc") byz),
+        None );
+      out_of_range "byz-n" "n" (-1) byz;
+      out_of_range "byz-f" "f" 4 byz;
+      out_of_range "derive-n" "n" 0 derive;
+      out_of_range "derive-rounds" "rounds" 0 derive;
+      out_of_range "ce-n" "n" 0 (json_of "rrfd-counterexample");
+      ( json_file "live-f"
+          (replace_field "records"
+             (Report.Json.List
+                (List.map (replace_field "f" (num 99))
+                   (Report.Json.list (Report.Json.member "records" live))))
+             live),
         None );
     ]
   in

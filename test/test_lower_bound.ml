@@ -18,8 +18,8 @@ let distinct_live_decisions result =
     ~decisions:
       (Array.mapi
          (fun i d ->
-           if Pset.mem i result.Syncnet.Sync_net.crashed then None else d)
-         result.Syncnet.Sync_net.decisions)
+           if Pset.mem i result.Rrfd.Substrate.crashed then None else d)
+         result.Rrfd.Substrate.decisions)
 
 let chain_breaks_agreement_at_the_bound () =
   List.iter
@@ -57,7 +57,7 @@ let chain_respects_crash_budget () =
   in
   Alcotest.(check (option string)) "crash predicate holds" None
     (Rrfd.Predicate.explain (Rrfd.Predicate.crash ~f:6)
-       result.Syncnet.Sync_net.induced)
+       result.Rrfd.Substrate.induced)
 
 let requires_enough_processes () =
   Alcotest.check_raises "too small"

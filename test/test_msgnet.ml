@@ -62,16 +62,16 @@ let round_layer_completes_and_satisfies_p3 =
         Array.for_all Fun.id
           (Array.mapi
              (fun i completed ->
-               Pset.mem i result.Msgnet.Round_layer.crashed
+               Pset.mem i result.Msgnet.Round_layer.execution.crashed
                || completed = rounds)
-             result.Msgnet.Round_layer.completed)
+             result.Msgnet.Round_layer.execution.completed)
       in
       if not live_ok then QCheck.Test.fail_reportf "a live process stalled"
       else
         match
           Rrfd.Predicate.explain
             (Rrfd.Predicate.async_resilient ~f)
-            result.Msgnet.Round_layer.induced
+            result.Msgnet.Round_layer.execution.induced
         with
         | None -> true
         | Some reason -> QCheck.Test.fail_reportf "n=%d f=%d: %s" n f reason)
@@ -98,7 +98,7 @@ let round_layer_full_information_recreates_missed_rounds =
       Array.iteri
         (fun i completed ->
           if completed = 3 then begin
-            let view_opt = result.Msgnet.Round_layer.decisions.(i) in
+            let view_opt = result.Msgnet.Round_layer.execution.decisions.(i) in
             match view_opt with
             | None -> ok := false
             | Some view ->
@@ -108,7 +108,7 @@ let round_layer_full_information_recreates_missed_rounds =
                   if not (Rrfd.Full_info.knows_input_of view j) then ok := false)
                 heard
           end)
-        result.Msgnet.Round_layer.completed;
+        result.Msgnet.Round_layer.execution.completed;
       !ok)
 
 let tests =

@@ -13,10 +13,10 @@ let immediate_stability_one_phase () =
   let inputs = [| 4; 5; 6; 7 |] in
   let outcome = run ~n:4 ~f:3 ~stabilize_at:1 ~seed:3 ~inputs in
   Alcotest.(check (option string)) "legal adversary" None
-    outcome.Rrfd.Engine.violation;
-  Alcotest.(check int) "one phase" 3 outcome.Rrfd.Engine.rounds_used;
+    outcome.Rrfd.Substrate.violation;
+  Alcotest.(check int) "one phase" 3 outcome.Rrfd.Substrate.rounds_used;
   Alcotest.(check (option string)) "consensus" None
-    (Agreement_check.kset ~k:1 ~inputs outcome.Rrfd.Engine.decisions)
+    (Agreement_check.kset ~k:1 ~inputs outcome.Rrfd.Substrate.decisions)
 
 let consensus_property =
   QCheck.Test.make
@@ -27,10 +27,10 @@ let consensus_property =
       let f = n - 1 in
       let inputs = Array.init n (fun i -> 100 + (i mod 3)) in
       let outcome = run ~n ~f ~stabilize_at ~seed ~inputs in
-      match outcome.Rrfd.Engine.violation with
+      match outcome.Rrfd.Substrate.violation with
       | Some v -> QCheck.Test.fail_reportf "adversary illegal: %s" v
       | None -> (
-        match Agreement_check.kset ~k:1 ~inputs outcome.Rrfd.Engine.decisions with
+        match Agreement_check.kset ~k:1 ~inputs outcome.decisions with
         | None -> true
         | Some reason ->
           QCheck.Test.fail_reportf "n=%d GST=%d: %s" n stabilize_at reason))
@@ -53,7 +53,7 @@ let early_commit_is_sticky =
           ()
       in
       let decided =
-        Array.to_list outcome.Rrfd.Engine.decisions |> List.filter_map Fun.id
+        Array.to_list outcome.Rrfd.Substrate.decisions |> List.filter_map Fun.id
       in
       match List.sort_uniq compare decided with
       | [] | [ _ ] -> true

@@ -44,7 +44,7 @@ let sut_derivation () =
     (fun proto ->
       let name = Catalog.name proto in
       let sut = ok_spec (Check.Spec.sut name) in
-      Alcotest.(check string) (name ^ " SUT name") name (Check.Sut.name sut);
+      Alcotest.(check string) (name ^ " SUT name") name (Catalog.name sut);
       let n = Catalog.default_n proto in
       let f = Catalog.default_f proto ~n in
       Alcotest.(check int)
@@ -101,8 +101,9 @@ let catalog_invariants () =
     "byz-vote still handles crashes" true
     (List.mem "crash" (Catalog.faults (Catalog.find_exn "byz-vote")));
   (* One round per substrate per entry, at the entry's own tiny default
-     size.  The execution record must be structurally sane everywhere;
-     decisions are substrate business, not this test's. *)
+     size.  The execution record must be structurally sane everywhere, and
+     the one differential must reproduce it — and name the first process
+     whose recorded decision is tampered with. *)
   List.iter
     (fun proto ->
       let name = Catalog.name proto in
@@ -121,7 +122,18 @@ let catalog_invariants () =
           true
           (Rrfd.Fault_history.n ex.Rrfd.Substrate.induced = n
           && Rrfd.Fault_history.rounds ex.Rrfd.Substrate.induced
-             = ex.Rrfd.Substrate.rounds_used)
+             = ex.Rrfd.Substrate.rounds_used);
+        let divergence ex = (Catalog.differential proto ~f ex).divergence in
+        Alcotest.(check (option int))
+          (Printf.sprintf "%s/%s: pinned replay reproduces the run" name label)
+          None (divergence ex);
+        let tampered = Array.copy ex.decisions in
+        tampered.(0) <- (if tampered.(0) = Some (-1) then None else Some (-1));
+        Alcotest.(check (option int))
+          (Printf.sprintf "%s/%s: a tampered decision is the divergence" name
+             label)
+          (Some 0)
+          (divergence { ex with decisions = tampered })
       in
       sane "engine"
         (Catalog.run_engine proto ~max_rounds:1 ~n ~f ~detector:quiet ());
@@ -154,11 +166,10 @@ let fuzz_each_protocol () =
     (List.map (fun (name, _, _) -> name) safe_configs);
   List.iter
     (fun (name, predicate, properties) ->
-      let proto = Catalog.find_exn name in
-      let sut = Check.Sut.of_protocol proto in
+      let sut = Catalog.find_exn name in
       let config : Check.Checker.fuzz_config =
         {
-          n = Catalog.default_n proto;
+          n = Catalog.default_n sut;
           rounds = Check.Sut.rounds sut;
           trials = 40;
           seed = 11;
@@ -233,11 +244,50 @@ let heard_of_roundtrip =
       done;
       true)
 
+(* The comparability rule reads how far each process got, not whether it
+   crashed: a process that completed every induced round is checked even
+   if it crashed afterwards (the asynchronous layer drains every scheduled
+   crash), and one that stopped earlier is not. *)
+let crash_comparability () =
+  let proto = Catalog.find_exn "flood-consensus" in
+  let n = 5 and f = 2 in
+  let divergence ex = (Catalog.differential proto ~f ex).divergence in
+  let tampered i (ex : int Rrfd.Substrate.execution) =
+    let d = Array.copy ex.decisions in
+    d.(i) <- (if d.(i) = Some (-1) then None else Some (-1));
+    divergence { ex with decisions = d }
+  in
+  let ex =
+    Catalog.run_msgnet proto ~crashes:[ (1, 1000.0) ] ~seed:5 ~n ~f ()
+  in
+  Alcotest.(check bool) "msgnet: p1 crashed" true (Pset.mem 1 ex.crashed);
+  Alcotest.(check int) "msgnet: p1 completed every round" (H.rounds ex.induced)
+    ex.completed.(1);
+  Alcotest.(check (option int)) "msgnet: replay reproduces" None (divergence ex);
+  Alcotest.(check (option int)) "msgnet: p1's tampered decision is reported"
+    (Some 1) (tampered 1 ex);
+  let rounds = Catalog.horizon proto ~n ~f in
+  let pattern =
+    Syncnet.Faults.crash ~n [ (2, 1, Pset.empty); (3, rounds, Pset.empty) ]
+  in
+  let ex =
+    Catalog.run_sync proto ~stop_when_decided:false ~rounds ~n ~f ~pattern ()
+  in
+  Alcotest.(check (array int)) "sync: a crashed process completed its crash round"
+    [| rounds; rounds; 1; rounds; rounds |] ex.completed;
+  Alcotest.(check (option int)) "sync: replay reproduces" None (divergence ex);
+  Alcotest.(check (option int)) "sync: p2 stopped early and is not compared"
+    None (tampered 2 ex);
+  Alcotest.(check (option int)) "sync: p3 finished its last round and is compared"
+    (Some 3) (tampered 3 ex)
+
 let tests =
   [
     Alcotest.test_case "catalog well-formed" `Quick catalog_well_formed;
     Alcotest.test_case "catalog invariants: names, fault models, substrates"
       `Slow catalog_invariants;
+    Alcotest.test_case "differential compares processes that crashed after finishing"
+      `Quick crash_comparability;
     Alcotest.test_case "SUT derivation agrees with catalog" `Quick
       sut_derivation;
     Alcotest.test_case "one clean fuzz run per protocol" `Slow

@@ -102,6 +102,26 @@ let immediate_snapshot_properties =
       | None -> true
       | Some reason -> QCheck.Test.fail_reportf "n=%d: %s" n reason)
 
+(* The state-machine executor against its oracle, the textbook fiber
+   implementation: identically seeded random schedules must yield the same
+   views and the same step count on both paths. *)
+let immediate_snapshot_matches_reference =
+  QCheck.Test.make
+    ~name:"immediate snapshot: run_once agrees with run_once_reference"
+    ~count:300
+    QCheck.(pair (int_range 1 7) (int_bound 100000))
+    (fun (n, seed) ->
+      let run f = f ~n ~schedule:(Shm.Exec.Random (Dsim.Rng.create seed)) in
+      let fast = run Shm.Immediate_snapshot.run_once in
+      let reference = run Shm.Immediate_snapshot.run_once_reference in
+      let open Shm.Immediate_snapshot in
+      if not (Array.for_all2 Pset.equal fast.views reference.views) then
+        QCheck.Test.fail_reportf "n=%d seed=%d: views differ" n seed;
+      if fast.steps <> reference.steps then
+        QCheck.Test.fail_reportf "n=%d seed=%d: %d steps vs %d" n seed
+          fast.steps reference.steps;
+      true)
+
 let immediate_snapshot_fault_sets_satisfy_p5 =
   QCheck.Test.make
     ~name:"E4: IIS rounds satisfy the snapshot predicate (item 5)" ~count:200
@@ -171,6 +191,7 @@ let tests =
       [
         snapshot_scans_monotone;
         immediate_snapshot_properties;
+        immediate_snapshot_matches_reference;
         immediate_snapshot_fault_sets_satisfy_p5;
         thm33_construction;
       ]

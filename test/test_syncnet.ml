@@ -34,12 +34,12 @@ let floodset_example () =
   in
   Alcotest.(check (option string)) "consensus among survivors" None
     (Agreement_check.kset
-       ~allow_undecided:result.Syncnet.Sync_net.crashed ~k:1 ~inputs
-       result.Syncnet.Sync_net.decisions);
+       ~allow_undecided:result.Rrfd.Substrate.crashed ~k:1 ~inputs
+       result.Rrfd.Substrate.decisions);
   (* everyone alive decides 1: p0 relays it in round 2 *)
   Array.iteri
     (fun i d -> if i < 3 then Alcotest.(check (option int)) "decides 1" (Some 1) d)
-    result.Syncnet.Sync_net.decisions
+    result.Rrfd.Substrate.decisions
 
 let induced_history_matches_crash_predicate =
   QCheck.Test.make
@@ -57,7 +57,7 @@ let induced_history_matches_crash_predicate =
       in
       match
         Rrfd.Predicate.explain (Rrfd.Predicate.crash ~f)
-          result.Syncnet.Sync_net.induced
+          result.Rrfd.Substrate.induced
       with
       | None -> true
       | Some reason -> QCheck.Test.fail_reportf "n=%d f=%d: %s" n f reason)
@@ -79,7 +79,7 @@ let induced_history_matches_omission_predicate =
       in
       match
         Rrfd.Predicate.explain (Rrfd.Predicate.omission ~f)
-          result.Syncnet.Sync_net.induced
+          result.Rrfd.Substrate.induced
       with
       | None -> true
       | Some reason -> QCheck.Test.fail_reportf "n=%d f=%d: %s" n f reason)
@@ -101,8 +101,8 @@ let floodset_solves_consensus =
       in
       match
         Agreement_check.kset
-          ~allow_undecided:result.Syncnet.Sync_net.crashed ~k:1 ~inputs
-          result.Syncnet.Sync_net.decisions
+          ~allow_undecided:result.Rrfd.Substrate.crashed ~k:1 ~inputs
+          result.Rrfd.Substrate.decisions
       with
       | None -> true
       | Some reason -> QCheck.Test.fail_reportf "n=%d f=%d: %s" n f reason)
@@ -128,8 +128,8 @@ let kset_flood_solves_kset =
         in
         match
           Agreement_check.kset
-            ~allow_undecided:result.Syncnet.Sync_net.crashed ~k ~inputs
-            result.Syncnet.Sync_net.decisions
+            ~allow_undecided:result.Rrfd.Substrate.crashed ~k ~inputs
+            result.Rrfd.Substrate.decisions
         with
         | None -> true
         | Some reason -> QCheck.Test.fail_reportf "n=%d f=%d k=%d: %s" n f k reason

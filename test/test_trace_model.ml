@@ -23,7 +23,7 @@ let trace_matches_engine () =
     (List.length round.Rrfd.Trace.new_decisions);
   Alcotest.(check (array (option int))) "outcome decisions embedded"
     [| Some 5; Some 5; Some 5 |]
-    trace.Rrfd.Trace.outcome.Rrfd.Engine.decisions
+    trace.Rrfd.Trace.execution.Rrfd.Substrate.decisions
 
 let trace_multi_round () =
   let inputs = [| 1; 2; 3; 4 |] in
