@@ -6,7 +6,12 @@ type t = {
 }
 
 let create ?(seed = 0) () =
-  { clock = 0.0; queue = Heap.create (); random = Rng.create seed; executed = 0 }
+  {
+    clock = 0.0;
+    queue = Heap.create ~dummy:ignore ();
+    random = Rng.create seed;
+    executed = 0;
+  }
 
 let now sim = sim.clock
 
@@ -26,31 +31,28 @@ let schedule sim ~delay f =
 
 let pending sim = Heap.length sim.queue
 
-let step sim =
-  match Heap.pop sim.queue with
-  | None -> false
-  | Some (time, f) ->
-    sim.clock <- time;
-    sim.executed <- sim.executed + 1;
-    f sim;
-    true
-
+(* One loop over the queue's non-allocating pair: read the earliest time,
+   then pop its event.  [until] and [max_events] are read once per call;
+   an absent [until] is an infinite horizon, which every finite event
+   time is within. *)
 let run ?until ?max_events sim =
+  let queue = sim.queue in
+  let horizon = match until with None -> infinity | Some h -> h in
+  let budget = match max_events with None -> max_int | Some m -> m in
   let start = sim.executed in
-  let budget_ok () =
-    match max_events with None -> true | Some m -> sim.executed - start < m
-  in
-  let time_ok () =
-    match until with
-    | None -> true
-    | Some horizon -> (
-      match Heap.peek sim.queue with
-      | None -> false
-      | Some (time, _) -> time <= horizon)
-  in
-  let rec loop () =
-    if budget_ok () && time_ok () && step sim then loop ()
-  in
-  loop ()
+  let running = ref true in
+  while !running do
+    if Heap.is_empty queue || sim.executed - start >= budget then running := false
+    else begin
+      let time = Heap.min_priority queue in
+      if time <= horizon then begin
+        let f = Heap.pop_min queue in
+        sim.clock <- time;
+        sim.executed <- sim.executed + 1;
+        f sim
+      end
+      else running := false
+    end
+  done
 
 let executed sim = sim.executed
